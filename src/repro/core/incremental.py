@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
 
+from ..dataflow.delta import Delta
 from ..workflow.domain import is_null
-from ..workflow.engine import apply_event
+from ..workflow.engine import apply_event_with_delta
 from ..workflow.events import Event
 from ..workflow.instance import Instance
 from ..workflow.program import WorkflowProgram
@@ -35,6 +36,16 @@ class IncrementalExplainer:
     :meth:`minimal_scenario` and per-event explanations with
     :meth:`explanation_of`, both in O(1) bookkeeping per event beyond the
     new requirement edges.
+
+    :meth:`extend` costs O(|delta|) plus the new requirement edges,
+    never O(|I|): the event is applied with
+    :func:`~repro.workflow.engine.apply_event_with_delta`, whose body
+    check reads the acting peer's view through keyed lookups, and the
+    transition's :class:`~repro.dataflow.delta.Delta` — complete, since
+    an event touches only the keys in its ground head — gives the
+    lifecycles it opens (``inserted``) and closes (``deleted``), the
+    attributes a chase merge fills in (``update`` keys), and whether the
+    peer sees the event (``visible_to``).
 
     >>> # explainer = IncrementalExplainer(program, "sue")
     >>> # for event in events: explainer.extend(event)
@@ -109,15 +120,16 @@ class IncrementalExplainer:
         :class:`~repro.workflow.errors.EventError` if the event is not
         applicable (the run state is left unchanged in that case).
         """
-        before = self.current_instance
-        after = apply_event(self.schema, before, event, forbidden_fresh=None)
+        after, delta = apply_event_with_delta(
+            self.schema, self.current_instance, event, forbidden_fresh=None
+        )
         index = len(self._events)
         self._events.append(event)
         self._instances.append(after)
         self._key_occurrences.append(event.key_occurrences())
-        closed_now = self._update_lifecycles(index, before, after)
-        self._record_modifications(index, before, after, event)
-        visible = self._is_visible(event, before, after)
+        closed_now = self._update_lifecycles(index, delta)
+        self._record_modifications(index, delta)
+        visible = event.peer == self.peer or delta.visible_to(self.schema, self.peer)
         self._visible.append(visible)
         # Closure of the new event: itself plus the closures of its
         # direct requirements (each already a fixpoint; the union is one
@@ -141,45 +153,34 @@ class IncrementalExplainer:
     # Internals
     # ------------------------------------------------------------------
 
-    def _is_visible(self, event: Event, before: Instance, after: Instance) -> bool:
-        if event.peer == self.peer:
-            return True
-        return self.schema.view_instance(before, self.peer) != self.schema.view_instance(
-            after, self.peer
-        )
+    def _update_lifecycles(self, index: int, delta: Delta) -> List[_LifecycleId]:
+        """Open/close lifecycles; return ids of lifecycles closed at *index*.
 
-    def _update_lifecycles(
-        self, index: int, before: Instance, after: Instance
-    ) -> List[_LifecycleId]:
-        """Open/close lifecycles; return ids of lifecycles closed at *index*."""
+        The delta lists every key the event touched, so the keys it
+        removed close their lifecycles and the keys it added open new
+        ones; a chase merge into an existing key does neither.
+        """
         closed_now: List[_LifecycleId] = []
-        for relation in self.schema.schema:
-            name = relation.name
-            old_keys = set(before.keys(name))
-            new_keys = set(after.keys(name))
-            for key in old_keys - new_keys:
+        for name in delta.changes:
+            for key in delta.deleted(name):
                 start = self._open.pop((name, key))
                 self._closed.setdefault((name, key), []).append((start, index))
                 closed_now.append((name, key, start))
-            for key in new_keys - old_keys:
+            for key in delta.inserted(name):
                 self._open[(name, key)] = index
         return closed_now
 
-    def _record_modifications(
-        self, index: int, before: Instance, after: Instance, event: Event
-    ) -> None:
-        for insertion in event.ground_insertions():
-            relation = insertion.view.relation.name
-            key = insertion.key_term.value
-            old = before.tuple_with_key(relation, key)
-            if old is None:
-                continue
-            new = after.tuple_with_key(relation, key)
-            for attribute in old.attributes:
-                if is_null(old[attribute]) and not is_null(new[attribute]):
-                    self._modifications.setdefault((relation, key), []).append(
-                        AttributeModification(index, relation, key, attribute)
-                    )
+    def _record_modifications(self, index: int, delta: Delta) -> None:
+        """Record the attributes a chase merge filled in (⊥ → value)."""
+        for relation, keys in delta.changes.items():
+            for key, (old, new) in keys.items():
+                if old is None or new is None:
+                    continue
+                for attribute in old.attributes:
+                    if is_null(old[attribute]) and not is_null(new[attribute]):
+                        self._modifications.setdefault((relation, key), []).append(
+                            AttributeModification(index, relation, key, attribute)
+                        )
 
     def _lifecycle_at(
         self, relation: str, key: object, position: int

@@ -16,22 +16,28 @@ An event fires when its body holds on the peer's view, its head-only
 variables are globally fresh, and *all* of its updates are applicable;
 the updates (which touch pairwise distinct tuples) are then applied in
 any order.
+
+Every one of these checks is a keyed read: the body through
+:meth:`~repro.workflow.views.CollaborativeSchema.view_probe` (one
+lookup per literal, never a materialized ``I@p``), each update at its
+own key.  Applying an event therefore costs O(#body literals +
+#updates) plus one copy of each touched relation's row map for the
+successor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
 
 from ..dataflow.delta import Delta
 from ..deprecation import deprecated_module_attrs
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from ..runtime.budget import ambient_checkpoint
-from .domain import NULL, is_null
+from .domain import is_null
 from .errors import ChaseFailure, EventError, FreshnessViolation, UpdateNotApplicable
 from .events import Event
 from .instance import Instance
-from .queries import Const
 from .rules import Deletion, Insertion
 from .tuples import Tuple
 from .views import CollaborativeSchema
@@ -53,34 +59,53 @@ _DELTA_KEYS = METRICS.histogram(
 )
 
 
-def insertion_result(
-    schema: CollaborativeSchema, instance: Instance, insertion: Insertion
-) -> Instance:
-    """The result of a ground insertion, or raise :class:`UpdateNotApplicable`."""
-    view = insertion.view
+def _view_tuple(insertion: Insertion) -> Tuple:
+    """The ground insertion's tuple ``u`` over ``att(R@p)``."""
     values = tuple(term.value for term in insertion.terms)  # ground: Const terms
-    u = Tuple(view.attributes, values)
+    return Tuple(insertion.view.attributes, values)
+
+
+def _chase_into(relation: str, existing: Optional[Tuple], tup: Tuple) -> Tuple:
+    """The tuple the key chase leaves when *tup* meets *existing* at its key."""
+    if existing is None:
+        return tup
+    try:
+        return existing.merge(tup)
+    except ValueError as exc:
+        raise ChaseFailure(f"insert into {relation}: {exc}") from exc
+
+
+def _inserted_tuple(instance: Instance, insertion: Insertion) -> Tuple:
+    """The tuple a ground insertion leaves at its key, or raise
+    :class:`UpdateNotApplicable`.
+
+    ``J = chase_K(I ∪ {R(u^⊥)})`` differs from ``I`` at most at ``u``'s
+    key, so applicability is decided on that one tuple.
+    """
+    view = insertion.view
+    u = _view_tuple(insertion)
     if is_null(u.key):
         raise UpdateNotApplicable(f"insertion {insertion!r} has a null key")
-    padded = u.pad(view.relation.attributes)
+    relation = view.relation.name
     try:
-        result = instance.insert(view.relation.name, padded)
+        merged = _chase_into(
+            relation,
+            instance.tuple_with_key(relation, u.key),
+            u.pad(view.relation.attributes),
+        )
     except ChaseFailure as exc:
         raise UpdateNotApplicable(f"insertion {insertion!r}: chase failed ({exc})") from exc
-    merged = result.tuple_with_key(view.relation.name, u.key)
     observed = view.observe(merged)
     if observed is None or not u.subsumed_by(observed):
         raise UpdateNotApplicable(
             f"insertion {insertion!r}: inserted tuple is not subsumed by the "
             f"peer's view after the update"
         )
-    return result
+    return merged
 
 
-def deletion_result(
-    schema: CollaborativeSchema, instance: Instance, deletion: Deletion
-) -> Instance:
-    """The result of a ground deletion, or raise :class:`UpdateNotApplicable`."""
+def _check_deletion(instance: Instance, deletion: Deletion) -> None:
+    """Raise :class:`UpdateNotApplicable` unless the peer sees the key."""
     view = deletion.view
     key = deletion.term.value  # ground: Const term
     tup = instance.tuple_with_key(view.relation.name, key)
@@ -88,22 +113,22 @@ def deletion_result(
         raise UpdateNotApplicable(
             f"deletion {deletion!r}: peer {view.peer} sees no tuple with key {key!r}"
         )
-    return instance.delete(view.relation.name, key)
 
 
-def updates_applicable(
-    schema: CollaborativeSchema, instance: Instance, event: Event
-) -> bool:
-    """True iff every update in the event's head is applicable at *instance*."""
-    try:
-        for atom in event.ground_head():
-            if isinstance(atom, Insertion):
-                insertion_result(schema, instance, atom)
-            else:
-                deletion_result(schema, instance, atom)
-    except UpdateNotApplicable:
-        return False
-    return True
+def insertion_result(
+    schema: CollaborativeSchema, instance: Instance, insertion: Insertion
+) -> Instance:
+    """The result of a ground insertion, or raise :class:`UpdateNotApplicable`."""
+    merged = _inserted_tuple(instance, insertion)
+    return instance.replace_tuples(insertion.view.relation.name, {merged.key: merged})
+
+
+def deletion_result(
+    schema: CollaborativeSchema, instance: Instance, deletion: Deletion
+) -> Instance:
+    """The result of a ground deletion, or raise :class:`UpdateNotApplicable`."""
+    _check_deletion(instance, deletion)
+    return instance.delete(deletion.view.relation.name, deletion.term.value)
 
 
 def apply_event(
@@ -137,16 +162,26 @@ def apply_event(
     return result
 
 
-def _apply_event(
+def _transition(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
     forbidden_fresh: Optional[FrozenSet[object]],
     check_body: bool,
-) -> Instance:
+) -> Dict[str, Dict[object, Optional[Tuple]]]:
+    """Check that *event* fires at *instance*; return what it writes.
+
+    Raises the :class:`EventError` :func:`apply_event` raises.  The
+    result maps each touched relation to ``key -> tuple`` (None for a
+    deleted key): the successor instance differs from *instance* there
+    and nowhere else.  Every check is a keyed read, so the cost is
+    O(#body literals + #updates) and nothing of size |I| is built.
+    """
     if check_body:
-        view_instance = schema.view_instance(instance, event.peer)
-        if not event.rule.body.satisfied_by(view_instance, event.valuation_dict()):
+        # The body is checked through a read-through of I@p: one keyed
+        # lookup per literal, the answers of the materialized view.
+        probe = schema.view_probe(instance, event.peer)
+        if not event.rule.body.satisfied_by(probe, event.valuation_dict()):
             raise EventError(
                 f"event {event!r}: body does not hold on {event.peer}'s view"
             )
@@ -167,22 +202,49 @@ def _apply_event(
     ground_head = event.ground_head()
     # Check applicability of every update against the *current* instance
     # first: an event fires only if all its updates are applicable.
+    inserted: List[PyTuple[Insertion, Tuple]] = []
     for atom in ground_head:
         if isinstance(atom, Insertion):
-            insertion_result(schema, instance, atom)
+            inserted.append((atom, _inserted_tuple(instance, atom)))
         else:
-            deletion_result(schema, instance, atom)
+            _check_deletion(instance, atom)
     # The updates affect pairwise distinct tuples, so the application
     # order is irrelevant; apply deletions first, then insertions.
-    result = instance
+    writes: Dict[str, Dict[object, Optional[Tuple]]] = {}
     for atom in ground_head:
         if isinstance(atom, Deletion):
-            result = result.delete(atom.view.relation.name, atom.term.value)
-    for atom in ground_head:
-        if isinstance(atom, Insertion):
-            values = tuple(term.value for term in atom.terms)
-            padded = Tuple(atom.view.attributes, values).pad(atom.view.relation.attributes)
-            result = result.insert(atom.view.relation.name, padded)
+            writes.setdefault(atom.view.relation.name, {})[atom.term.value] = None
+    for atom, merged in inserted:
+        relation = atom.view.relation.name
+        rows = writes.setdefault(relation, {})
+        if merged.key in rows:
+            # A key this event already wrote (a head-only key valued like
+            # another update's key): chase into what it wrote.
+            padded = _view_tuple(atom).pad(atom.view.relation.attributes)
+            merged = _chase_into(relation, rows[merged.key], padded)
+        rows[merged.key] = merged
+    return writes
+
+
+def _apply_event(
+    schema: CollaborativeSchema,
+    instance: Instance,
+    event: Event,
+    forbidden_fresh: Optional[FrozenSet[object]],
+    check_body: bool,
+) -> Instance:
+    """The successor of *instance* under *event*, built once.
+
+    All checks are keyed reads (:func:`_transition`): the body through
+    :meth:`~repro.workflow.views.CollaborativeSchema.view_probe`, the
+    updates at their keys.  The successor then shares every untouched
+    relation with *instance* and copies each touched one once.
+    """
+    result = instance
+    for relation, rows in _transition(
+        schema, instance, event, forbidden_fresh, check_body
+    ).items():
+        result = result.replace_tuples(relation, rows)
     return result
 
 
@@ -197,9 +259,7 @@ def event_delta(before: Instance, after: Instance, event: Event) -> Delta:
     for atom in event.ground_head():
         relation = atom.view.relation.name
         if isinstance(atom, Insertion):
-            key = Tuple(
-                atom.view.attributes, tuple(term.value for term in atom.terms)
-            ).key
+            key = _view_tuple(atom).key
         else:
             key = atom.term.value
         old = before.tuple_with_key(relation, key)
@@ -283,10 +343,17 @@ def event_applicable(
     instance: Instance,
     event: Event,
     forbidden_fresh: Optional[FrozenSet[object]] = None,
+    check_body: bool = True,
 ) -> bool:
-    """True iff :func:`apply_event` would succeed."""
+    """True iff :func:`apply_event` would succeed.
+
+    An applicability probe: it makes the same checks (and the same budget
+    poll) but builds no successor and ticks no engine counter, which
+    count applications only.
+    """
+    ambient_checkpoint()
     try:
-        apply_event(schema, instance, event, forbidden_fresh)
+        _transition(schema, instance, event, forbidden_fresh, check_body)
     except EventError:
         return False
     return True

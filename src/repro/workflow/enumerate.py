@@ -78,11 +78,7 @@ def applicable_events(
                 full = dict(valuation)
                 full.update(zip(head_only, head_values))
                 event = Event(rule, full)
-                try:
-                    apply_event(
-                        schema, instance, event, forbidden_fresh=None, check_body=False
-                    )
-                except EventError:
+                if not event_applicable(schema, instance, event, check_body=False):
                     continue
                 _ENUM_CANDIDATES.inc()
                 yield event

@@ -44,8 +44,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from ..dataflow.delta import Delta
 from .domain import FreshValueSource
-from .engine import apply_event
-from .errors import EventError
+from .engine import event_applicable
 from .evalstats import EVAL_STATS
 from .events import Event
 from .instance import Instance
@@ -295,10 +294,5 @@ class ApplicableEventIndex:
                     full = dict(valuation)
                     full.update(zip(head_only, head_values))
                     event = Event(rule, full)
-                    try:
-                        apply_event(
-                            schema, instance, event, forbidden_fresh=None, check_body=False
-                        )
-                    except EventError:
-                        continue
-                    yield event
+                    if event_applicable(schema, instance, event, check_body=False):
+                        yield event

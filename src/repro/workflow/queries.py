@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple, Union
 
 from .domain import NULL, is_null
 from .errors import QueryError
 from .evalstats import EVAL_STATS
 from .instance import Instance
 from .tuples import Tuple
-from .views import View
+from .views import View, ViewProbe
 
 # ----------------------------------------------------------------------
 # Terms
@@ -368,7 +368,9 @@ class Query:
         else:  # pragma: no cover - positive literals are relational only
             raise QueryError(f"unexpected positive literal {literal!r}")
 
-    def _filters_hold(self, valuation: Dict[Var, object], inst: Instance) -> bool:
+    def _filters_hold(
+        self, valuation: Dict[Var, object], inst: Union[Instance, ViewProbe]
+    ) -> bool:
         for literal in self.negative_literals():
             if isinstance(literal, KeyLiteral):
                 key = term_value(literal.term, valuation)
@@ -383,8 +385,16 @@ class Query:
                     return False
         return all(cmp.holds(valuation) for cmp in self.comparisons())
 
-    def satisfied_by(self, view_instance: Instance, valuation: Dict[Var, object]) -> bool:
-        """True iff the given complete *valuation* satisfies the body."""
+    def satisfied_by(
+        self, view_instance: Union[Instance, ViewProbe], valuation: Dict[Var, object]
+    ) -> bool:
+        """True iff the given complete *valuation* satisfies the body.
+
+        Only keyed reads are made (``contains_tuple`` and ``has_key``, one
+        per literal), so *view_instance* may be the materialized ``I@p``
+        or the engine's read-through
+        :meth:`~repro.workflow.views.CollaborativeSchema.view_probe`.
+        """
         for literal in self.positive_literals():
             if isinstance(literal, RelLiteral):
                 values = tuple(term_value(t, valuation) for t in literal.terms)

@@ -6,6 +6,11 @@ view ``R@p`` exposing a subset of the attributes (always containing the
 key) and the tuples satisfying a selection condition ``σ(R@p)`` over the
 full attribute set.
 
+An event's body is checked on ``I@p`` through
+:meth:`CollaborativeSchema.view_probe`, a read-through answering keyed
+reads at the cost of one lookup each; :meth:`~CollaborativeSchema.view_instance`
+materializes ``I@p`` for the readers that scan it.
+
 The *losslessness* condition requires that every valid global instance
 can be reconstructed from the collective peer views with the key chase.
 :meth:`CollaborativeSchema.losslessness_violations` decides it by
@@ -86,6 +91,8 @@ class View:
         """The peer's observation of full tuple *tup*, or None if hidden."""
         if not self.sees_tuple(tup):
             return None
+        if tup.attributes == self.attributes:
+            return tup  # the view keeps every attribute: nothing to project
         return tup.project(self.attributes)
 
     def is_full(self) -> bool:
@@ -95,6 +102,39 @@ class View:
     def __repr__(self) -> str:
         sel = "" if self.selection == TRUE else f" where {self.selection!r}"
         return f"{self.name}[{', '.join(self.attributes)}]{sel}"
+
+
+class ViewProbe:
+    """Keyed reads of a peer's view instance ``I@p`` through its views.
+
+    Answers :meth:`has_key`, :meth:`contains_tuple` and
+    :meth:`tuple_with_key` on a view relation ``R@p`` with
+    :meth:`Instance.tuple_with_key` on ``R`` plus :meth:`View.observe`,
+    so a body check costs one lookup per literal instead of an O(|I|)
+    view rebuild.  The answers equal those of the materialized
+    :meth:`CollaborativeSchema.view_instance`: a tuple the selection
+    hides is absent, and a ⊥ key is never stored.
+    """
+
+    __slots__ = ("instance", "_views")
+
+    def __init__(self, instance: Instance, views: Mapping[str, View]) -> None:
+        self.instance = instance
+        self._views = views
+
+    def tuple_with_key(self, name: str, key: object) -> Optional[Tuple]:
+        view = self._views[name]
+        tup = self.instance.tuple_with_key(view.relation.name, key)
+        return None if tup is None else view.observe(tup)
+
+    def has_key(self, name: str, key: object) -> bool:
+        view = self._views[name]
+        tup = self.instance.tuple_with_key(view.relation.name, key)
+        return tup is not None and view.sees_tuple(tup)
+
+    def contains_tuple(self, name: str, tup: Tuple) -> bool:
+        seen = self.tuple_with_key(name, tup.key)
+        return seen is not None and seen == tup
 
 
 class CollaborativeSchema:
@@ -119,6 +159,8 @@ class CollaborativeSchema:
         if len(set(self.peers)) != len(self.peers):
             raise SchemaError(f"duplicate peers: {self.peers}")
         self._views: Dict[PyTuple[str, str], View] = {}
+        #: peer -> view name ``R@p`` -> view, for :meth:`view_probe`.
+        self._peer_views: Dict[str, Dict[str, View]] = {peer: {} for peer in self.peers}
         for view in views:
             if view.peer not in self.peers:
                 raise SchemaError(f"view {view.name} belongs to unknown peer {view.peer!r}")
@@ -132,6 +174,7 @@ class CollaborativeSchema:
             if key in self._views:
                 raise SchemaError(f"duplicate view {view.name}")
             self._views[key] = view
+            self._peer_views[view.peer][view.name] = view
         if require_lossless:
             violations = self.losslessness_violations()
             if violations:
@@ -185,6 +228,15 @@ class CollaborativeSchema:
                     observed[seen.key] = seen
             data[view.name] = observed
         return Instance(view_schema, data)
+
+    def view_probe(self, instance: Instance, peer: str) -> ViewProbe:
+        """A read-through of ``I@p`` over *instance*, built in O(1).
+
+        Answers the keyed reads a body check makes with one lookup in
+        *instance* each, exactly as :meth:`view_instance` followed by the
+        same read would, without materializing ``I@p``.
+        """
+        return ViewProbe(instance, self._peer_views[peer])
 
     def reconstruct(self, view_instances: Mapping[str, Instance]) -> Instance:
         """Reassemble a global instance from peer view instances.

@@ -6,7 +6,11 @@ from repro.core.explain import explain_event
 from repro.core.faithful import minimal_faithful_scenario
 from repro.core.incremental import IncrementalExplainer
 from repro.workflow import Event, Instance, RunGenerator, execute
+from repro.workflow.domain import NULL
+from repro.workflow.engine import apply_event_with_delta
 from repro.workflow.errors import EventError
+from repro.workflow.queries import Var
+from repro.workflow.tuples import Tuple
 from repro.workloads.generators import (
     churn_program,
     profile_program,
@@ -102,3 +106,83 @@ class TestInitialInstance:
         )
         events = [Event(approval.rule(n), {}) for n in ("h", "f")]
         check_against_scratch(approval, "applicant", events, initial=start)
+
+
+def _event(program, rule, **values):
+    return Event(program.rule(rule), {Var(name): value for name, value in values.items()})
+
+
+class TestDeltaDrivenExtension:
+    """Runs exercising each reading ``extend`` takes off the event's delta."""
+
+    def test_deleted_key_reinserted_reopens_lifecycle(self):
+        program = churn_program()
+        events = [
+            _event(program, "make", x=1),
+            _event(program, "audit", a="a1", x=1),
+            _event(program, "kill", x=1),
+            _event(program, "make", x=1),
+            _event(program, "audit", a="a2", x=1),
+            _event(program, "kill", x=1),
+            _event(program, "make", x=1),
+        ]
+        check_against_scratch(program, "observer", events)
+
+    def test_chase_merge_neither_opens_nor_closes(self):
+        # set_email/set_phone merge into the key create opened: update
+        # deltas, one of them (email) projected away from the observer.
+        program = profile_program()
+        events = [
+            _event(program, "create", x=1),
+            _event(program, "create", x=2),
+            _event(program, "set_email", x=1),
+            _event(program, "set_phone", x=2),
+            _event(program, "set_phone", x=1),
+            _event(program, "notify", x=1),
+        ]
+        run = execute(program, events, check_freshness=False)
+        _, delta = apply_event_with_delta(program.schema, run.instance_before(2), events[2])
+        assert delta.touched() == (("P", 1, "update"),)
+        check_against_scratch(program, "observer", events)
+
+    def test_tuples_in_initial_instance(self):
+        program = churn_program()
+        start = Instance.from_tuples(
+            program.schema.schema,
+            {
+                "Obj": [Tuple(("K",), (1,)), Tuple(("K",), (2,))],
+                "Audit": [Tuple(("K", "obj"), ("a0", 1))],
+            },
+        )
+        events = [
+            _event(program, "audit", a="a1", x=2),
+            _event(program, "kill", x=1),
+            _event(program, "make", x=1),
+            _event(program, "audit", a="a2", x=1),
+            _event(program, "kill", x=2),
+        ]
+        check_against_scratch(program, "observer", events, initial=start)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_runs_from_initial_instance(self, seed):
+        program = profile_program()
+        start = Instance.from_tuples(
+            program.schema.schema,
+            {"P": [Tuple(("K", "email", "phone"), (k, NULL, NULL)) for k in ("p", "q")]},
+        )
+        run = RunGenerator(program, seed=seed).random_run(12, initial=start)
+        check_against_scratch(program, "observer", list(run.events), initial=start)
+
+    def test_observer_sees_none_of_the_events(self):
+        program = churn_program()
+        events = [
+            _event(program, "make", x=1),
+            _event(program, "make", x=2),
+            _event(program, "kill", x=1),
+        ]
+        check_against_scratch(program, "observer", events)
+        explainer = IncrementalExplainer(program, "observer")
+        for event in events:
+            explainer.extend(event)
+        assert explainer.visible_indices() == ()
+        assert explainer.minimal_scenario() == ()

@@ -303,6 +303,41 @@ class TestObservabilityOps:
         snapshot = response["snapshot"]
         assert snapshot["repro_service_requests_total"].get("submit,ok", 0) >= 6
 
+    def test_applicable_requests_are_not_applied_events(self):
+        """``repro_engine_events_applied_total`` rises once per acked
+        submit; the applicability probes behind ``applicable`` add
+        nothing to it."""
+
+        async def scenario(program, server):
+            run = RunGenerator(program, seed=4).random_run(8)
+            client = await ServiceClient.connect(server.host, server.port)
+
+            async def applied_total():
+                response = await client.expect_ok(op="metrics")
+                return response["snapshot"]["repro_engine_events_applied_total"].get("", 0)
+
+            try:
+                await client.expect_ok(op="open", run="r")
+                before = await applied_total()
+                probed = 0
+                for event in run.events:
+                    acked = await client.expect_ok(
+                        op="submit", run="r", event=event_to_dict(event)
+                    )
+                    assert acked["status"] == "applied"
+                    for peer in (None, event.peer):
+                        extra = {} if peer is None else {"peer": peer}
+                        response = await client.expect_ok(op="applicable", run="r", **extra)
+                        probed += response["count"]
+                after = await applied_total()
+            finally:
+                await client.close()
+            return after - before, len(run.events), probed
+
+        risen, submitted, probed = run_server_scenario(scenario)
+        assert probed > 0
+        assert risen == submitted
+
     def test_provenance_op_answers_both_directions(self):
         async def scenario(program, server):
             run = RunGenerator(program, seed=5).random_run(8)

@@ -170,3 +170,68 @@ class TestEventEffect:
         assert effect["created"] == {3}
         assert effect["deleted"] == {1}
         assert effect["modified"] == {2}
+
+
+def _engine_counts():
+    """(events applied, events rejected) on the process-wide registry."""
+    from repro.obs.metrics import METRICS
+
+    snapshot = METRICS.snapshot()
+    applied = snapshot.get("repro_engine_events_applied_total", {}).get("", 0)
+    rejected = sum(snapshot.get("repro_engine_event_rejections_total", {}).values())
+    return applied, rejected
+
+
+class TestApplicabilityProbes:
+    """Probing whether events apply is not applying them."""
+
+    def test_probes_tick_no_engine_counter(self):
+        from repro.workflow.enumerate import applicable_events
+        from repro.workflow.eventindex import ApplicableEventIndex
+        from repro.workloads import get_family
+
+        family = get_family("healthcare")
+        program = family.program()
+        run = family.run(seed=1, steps=24, program=program)
+        instance = run.instance_after(len(run) // 2)
+        index = ApplicableEventIndex(program, instance)
+        before = _engine_counts()
+        indexed = list(index.events())
+        scratch = list(applicable_events(program, instance))
+        assert indexed and len(indexed) == len(scratch)
+        assert _engine_counts() == before
+        # Applying one of them still counts.
+        apply_event(program.schema, instance, indexed[0])
+        assert _engine_counts() == (before[0] + 1, before[1])
+
+    def test_event_applicable_ticks_no_engine_counter(self):
+        program = make_program()
+        start = inst(rt(1, "ok", NULL))
+        before = _engine_counts()
+        assert event_applicable(CS, start, Event(program.rule("move"), {x: 1, y: 2}))
+        assert not event_applicable(CS, start, Event(program.rule("move"), {x: 9, y: 2}))
+        assert _engine_counts() == before
+
+    def test_probe_agrees_with_apply_without_body_check(self):
+        program = make_program()
+        start = inst(rt(1, "ok", NULL))
+        # x=9 fails the body, but the updates alone are checked here:
+        # deleting key 9 is not applicable either way.
+        for valuation in ({x: 1, y: 2}, {x: 9, y: 2}, {x: 1, y: 1}):
+            event = Event(program.rule("move"), valuation)
+            try:
+                apply_event(CS, start, event, check_body=False)
+            except EventError:
+                applies = False
+            else:
+                applies = True
+            assert event_applicable(CS, start, event, check_body=False) == applies
+
+    def test_updates_sharing_a_key_apply_in_sequence(self):
+        # A head-only key valued like the deleted key: the deletion goes
+        # first, so the insertion lands on an empty key and B is lost.
+        program = make_program()
+        start = inst(rt(1, "ok", "b"))
+        event = Event(program.rule("move"), {x: 1, y: 1})
+        assert event_applicable(CS, start, event)
+        assert apply_event(CS, start, event) == inst(rt(1, "ok", NULL))
