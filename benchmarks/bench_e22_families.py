@@ -1,12 +1,12 @@
-"""E22: realistic family throughput across the three query backends.
+"""E22: realistic family throughput across the two query backends.
 
 The four workload families (e-commerce fulfillment, healthcare
 approvals, CI/CD pipelines, multi-party procurement) are the
 reproduction's "realistic" load: join-heavy rule bodies, negation
 guards, keyed deletions, and observer views with selections.  This
 experiment prices applying each family's seeded plausible event stream
-under every query backend — ``naive`` nested loops, the ``planned``
-join orderer, and the ``compiled`` closure pipeline.
+under both query backends — ``naive`` nested loops and the ``compiled``
+closure pipeline over the planner's join order.
 
 Identity is asserted before anything is timed: every backend must
 replay the same fixed event stream to bit-identical final views (the
@@ -20,8 +20,8 @@ family (a regression of that size means a planner or compiler path
 went quadratic on realistic shapes).
 
 ``BENCH_E22_SCALE=smoke`` shrinks the streams for CI.  The full run
-archives its measurements in ``BENCH_E22.json`` at the repo root (the
-committed baseline).
+archives its measurements, with the machine's ``cpu_count``, in
+``BENCH_E22.json`` at the repo root (the committed baseline).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.workloads.fuzz import _run_fingerprint
 SMOKE = os.environ.get("BENCH_E22_SCALE", "").strip().lower() == "smoke"
 STEPS = 40 if SMOKE else 160
 ATTEMPTS = 1 if SMOKE else 5  # best-of-N timing passes
-BACKENDS = ("naive", "planned", "compiled")
+BACKENDS = ("naive", "compiled")
 FAMILY_NAMES = ("ecommerce", "healthcare", "cicd", "procurement")
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_E22.json"
 
@@ -150,6 +150,7 @@ def test_e22_family_throughput(benchmark):
             json.dumps(
                 {
                     "experiment": "E22",
+                    "cpu_count": os.cpu_count(),
                     "steps": STEPS,
                     "families": json_rows,
                     "worst_backend_ratio": round(worst_ratio, 2),

@@ -11,7 +11,8 @@ plausible event streams.  We:
 3. rank the run's events by Shapley value toward a visible fact —
    which events actually *mattered* for what the observer sees,
 4. cross-check one family through the differential fuzz harness
-   (naive vs planned vs compiled backends, dataflow, recovery).
+   (the naive vs compiled backends, the dataflow graph and the one
+   incremental rule path, recovery).
 
 Run with: ``python examples/families_tour.py``
 """

@@ -53,14 +53,12 @@ from .workflow.planner import query_backend, set_backend
 from .workflow.statespace import StateSpaceExplorer, fact_reachable
 
 # ----------------------------------------------------------------------
-# Incremental dataflow: the Z-set delta algebra behind derived state
+# Incremental dataflow: one delta stream behind derived state
 # ----------------------------------------------------------------------
 from .dataflow import (
     Delta,
     DeltaEffect,
     DeltaGraph,
-    QueryDataflow,
-    ZSet,
     delta_visible_to,
     refresh_view_instance,
 )
@@ -257,8 +255,6 @@ __all__ = [
     "Delta",
     "DeltaEffect",
     "DeltaGraph",
-    "QueryDataflow",
-    "ZSet",
     "delta_visible_to",
     "refresh_view_instance",
     # runtime explanations

@@ -1,45 +1,21 @@
-"""Z-set incremental dataflow: the delta algebra behind derived state.
+"""Incremental dataflow: one delta stream in, every derived artifact out.
 
-The DBSP-style core the ROADMAP names: weighted tuple multisets
-(:class:`~repro.dataflow.zset.ZSet`), the unified transition delta
-(:class:`~repro.dataflow.delta.Delta`), composable incremental
-operators (:mod:`~repro.dataflow.operators`), planner-ordered query
-maintenance (:class:`~repro.dataflow.query.QueryDataflow`) and the
-per-run :class:`~repro.dataflow.graph.DeltaGraph` that consumes one
-delta stream and keeps every derived artifact — materialized peer
-views, visibility, provenance triples, maintained query results —
-fresh at O(|delta|) per event.  See ``docs/DATAFLOW.md`` for the
-operator catalog and the migration table from the pre-dataflow
-entry points.
+The unified transition delta (:class:`~repro.dataflow.delta.Delta`)
+and the per-run :class:`~repro.dataflow.graph.DeltaGraph` that consumes
+one delta stream and keeps every derived artifact — materialized peer
+views, visibility, provenance triples, and through its subscribers the
+view caches and the applicable-event index — fresh at O(|delta|) per
+event.  See ``docs/DATAFLOW.md`` for the design and the migration table
+from the pre-dataflow entry points.
 """
 
 from .delta import Delta, delta_visible_to, refresh_view_instance
 from .graph import DeltaEffect, DeltaGraph
-from .operators import (
-    AntiJoin,
-    DeltaJoin,
-    Distinct,
-    Integrator,
-    LiftedFilter,
-    LiftedMap,
-    Union,
-)
-from .query import QueryDataflow
-from .zset import ZSet
 
 __all__ = [
-    "AntiJoin",
     "Delta",
     "DeltaEffect",
     "DeltaGraph",
-    "DeltaJoin",
-    "Distinct",
-    "Integrator",
-    "LiftedFilter",
-    "LiftedMap",
-    "QueryDataflow",
-    "Union",
-    "ZSet",
     "delta_visible_to",
     "refresh_view_instance",
 ]

@@ -11,25 +11,21 @@ produced (the transition semantics only touches the keys in an event's
 ground head, so the mapping is *complete*: unlisted keys are untouched)
 plus the unified accessors:
 
-* :meth:`zset` / :meth:`zsets` — the delta as Z-sets (``-1`` for the
-  before-tuple, ``+1`` for the after-tuple), the input shape of every
-  operator in :mod:`repro.dataflow.operators`;
+* :meth:`inserted` / :meth:`deleted` / :meth:`updated` — the touched
+  keys by kind;
 * :meth:`touched` — the provenance triples;
 * :meth:`observe` / :meth:`visible_to` / :meth:`refresh_view` — the
   delta lifted through one peer's views (selection + projection on the
   touched keys only, never a scan).
 
 ``Delta`` is exactly the class previously exported as
-``repro.workflow.engine.ViewDelta``; the old name survives as a
-:class:`DeprecationWarning` shim.
+``repro.workflow.engine.ViewDelta``; that name is gone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple as PyTuple
-
-from .zset import ZSet
 
 if TYPE_CHECKING:  # annotation-only: keeps this module import-cycle-free
     # (the engine imports Delta, so delta.py must not pull the workflow
@@ -64,7 +60,7 @@ class Delta:
     chase_merged: bool = False
 
     # ------------------------------------------------------------------
-    # The ViewDelta surface (key-level reads)
+    # Key-level reads
     # ------------------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -90,43 +86,6 @@ class Delta:
         keys = self.changes.get(relation, {})
         return tuple(k for k, (before, after) in keys.items()
                      if before is not None and after is not None and before != after)
-
-    # ------------------------------------------------------------------
-    # The Z-set surface (operator inputs)
-    # ------------------------------------------------------------------
-
-    def zset(self, relation: str) -> ZSet:
-        """The transition's change to *relation* as a Z-set of tuples.
-
-        ``-1`` for each before-tuple, ``+1`` for each after-tuple; a key
-        whose tuple was rewritten contributes both, so adding the Z-set
-        to the relation's old contents yields the new contents exactly.
-        """
-        out = ZSet()
-        weights = out._weights
-        for before, after in self.changes.get(relation, {}).values():
-            if before is not None:
-                total = weights.get(before, 0) - 1
-                if total:
-                    weights[before] = total
-                else:
-                    weights.pop(before, None)
-            if after is not None:
-                total = weights.get(after, 0) + 1
-                if total:
-                    weights[after] = total
-                else:
-                    weights.pop(after, None)
-        return out
-
-    def zsets(self) -> Dict[str, ZSet]:
-        """Per-relation Z-sets of the whole transition (empty ones omitted)."""
-        out: Dict[str, ZSet] = {}
-        for relation in self.changes:
-            z = self.zset(relation)
-            if z:
-                out[relation] = z
-        return out
 
     # ------------------------------------------------------------------
     # The provenance surface
@@ -174,8 +133,8 @@ class Delta:
     def visible_to(self, schema: CollaborativeSchema, peer: str) -> bool:
         """True iff the transition changes *peer*'s view.
 
-        The Z-set reading: the delta lifted through the peer's views is
-        non-zero.  O(|delta|), and equivalent to comparing
+        Some touched key observes differently through the peer's views.
+        O(|delta|), and equivalent to comparing
         ``schema.view_instance`` on both sides because the delta is
         complete — every untouched key observes identically.
         """

@@ -14,10 +14,12 @@ the resulting :class:`DeltaEffect` to all consumers:
   view caches, the provenance recorder, explainer fan-out);
 * the graph's own lazily-materialized per-peer view instances
   (:meth:`snapshot`), patched copy-on-write via
-  :meth:`~repro.workflow.instance.Instance.replace_tuples`;
-* maintained query results (:meth:`maintain` wires a
-  :class:`~repro.dataflow.query.QueryDataflow` to one peer's lifted
-  delta stream).
+  :meth:`~repro.workflow.instance.Instance.replace_tuples`.
+
+Rule bodies are not maintained here: the applicable-event index
+(:class:`~repro.workflow.eventindex.ApplicableEventIndex`) consumes each
+effect, invalidates the rules whose views changed and re-runs their
+compiled closures — the system's one incremental rule-maintenance path.
 
 Per transition the cost is O(|delta| · #peers) plus O(|delta|) per
 consumer — never O(|instance|).  The differential suites in
@@ -33,18 +35,14 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    List,
     Optional,
     Tuple as PyTuple,
 )
 
 from ..workflow.evalstats import EVAL_STATS
 from ..workflow.instance import Instance
-from ..workflow.queries import Query
 from ..workflow.views import CollaborativeSchema
 from .delta import Delta
-from .query import QueryDataflow
-from .zset import ZSet
 
 __all__ = ["DeltaEffect", "DeltaGraph"]
 
@@ -55,9 +53,9 @@ class DeltaEffect:
     The fused result of a :meth:`DeltaGraph.push`: the raw
     :class:`~repro.dataflow.delta.Delta` plus, per peer, the touched
     keys as that peer saw them before and after.  Exposes the same
-    ``changes`` / ``touched()`` / ``zset`` surface as ``Delta`` (it is
-    accepted anywhere a delta is), so consumers read the precomputed
-    observations instead of re-deriving them.
+    ``changes`` / ``touched()`` surface as ``Delta`` (it is accepted
+    anywhere a delta is), so consumers read the precomputed observations
+    instead of re-deriving them.
     """
 
     __slots__ = ("delta", "observed", "changed", "changed_peers", "context")
@@ -98,12 +96,6 @@ class DeltaEffect:
     def touched(self) -> PyTuple[PyTuple[str, object, str], ...]:
         return self.delta.touched()
 
-    def zset(self, relation: str) -> ZSet:
-        return self.delta.zset(relation)
-
-    def zsets(self) -> Dict[str, ZSet]:
-        return self.delta.zsets()
-
     # -- the per-peer observations -------------------------------------
 
     def observed_for(self, peer: str) -> Optional[Dict[str, Dict[object, PyTuple]]]:
@@ -122,32 +114,6 @@ class DeltaEffect:
             return bool(self.changed.get(peer))
         raise KeyError(f"peer {peer!r} is not tracked by this graph")
 
-    def view_zsets(self, peer: str) -> Dict[str, ZSet]:
-        """*peer*'s observed changes as per-view Z-sets — the delta
-        stream a maintained query over that peer's view consumes."""
-        out: Dict[str, ZSet] = {}
-        for view_name, keys in self.observed.get(peer, {}).items():
-            z = ZSet()
-            weights = z._weights
-            for seen_before, seen_after in keys.values():
-                if seen_before == seen_after:
-                    continue
-                if seen_before is not None:
-                    total = weights.get(seen_before, 0) - 1
-                    if total:
-                        weights[seen_before] = total
-                    else:
-                        weights.pop(seen_before, None)
-                if seen_after is not None:
-                    total = weights.get(seen_after, 0) + 1
-                    if total:
-                        weights[seen_after] = total
-                    else:
-                        weights.pop(seen_after, None)
-            if z:
-                out[view_name] = z
-        return out
-
 
 class DeltaGraph:
     """One run's incremental dataflow: push deltas, read derived state.
@@ -155,10 +121,9 @@ class DeltaGraph:
     Construct with the run's collaborative schema and its current global
     instance; thereafter feed every transition's
     :class:`~repro.dataflow.delta.Delta` through :meth:`push`.  The
-    graph maintains the global instance, any materialized per-peer view
-    instances and any :meth:`maintain`-ed query results in O(|delta|)
-    per push, and notifies subscribers with the fused
-    :class:`DeltaEffect`.
+    graph maintains the global instance and any materialized per-peer
+    view instances in O(|delta|) per push, and notifies subscribers with
+    the fused :class:`DeltaEffect`.
     """
 
     __slots__ = (
@@ -168,7 +133,6 @@ class DeltaGraph:
         "pushes",
         "_subscribers",
         "_views",
-        "_queries",
         "_serial",
     )
 
@@ -189,8 +153,6 @@ class DeltaGraph:
         #: Materialized per-peer view instances, created on first
         #: snapshot() and patched per push.
         self._views: Dict[str, Instance] = {}
-        #: (label) -> (peer, QueryDataflow) maintained query results.
-        self._queries: Dict[str, PyTuple[str, QueryDataflow]] = {}
         self._serial = 0
 
     # ------------------------------------------------------------------
@@ -205,8 +167,7 @@ class DeltaGraph:
         """Register *subscriber* to receive every pushed effect.
 
         Subscribers are called synchronously, in subscription order,
-        after the graph's own state (views, maintained queries) has
-        advanced.  Returns the subscription name for
+        after the graph's own state (instance, views) has advanced.  Returns the subscription name for
         :meth:`unsubscribe`.
         """
         if name is None:
@@ -227,8 +188,8 @@ class DeltaGraph:
         """Advance every derived artifact past one transition.
 
         Computes the fused observation pass, patches the maintained
-        global instance and any materialized views, steps maintained
-        queries, then notifies subscribers.  Keyword arguments become
+        global instance and any materialized views, then notifies
+        subscribers.  Keyword arguments become
         ``effect.context`` — the service passes ``seq``, ``event`` and
         ``span_id`` through to its provenance subscriber this way.
         """
@@ -252,8 +213,6 @@ class DeltaGraph:
                     {key: after for key, (_, after) in keys.items()},
                 )
             self._views[peer] = view_instance
-        for peer, dataflow in self._queries.values():
-            dataflow.step(effect.view_zsets(peer))
         for subscriber in list(self._subscribers.values()):
             subscriber(effect)
         self.pushes += 1
@@ -308,27 +267,6 @@ class DeltaGraph:
             self._views[peer] = view_instance
         return view_instance
 
-    def maintain(self, query: Query, peer: str, label: Optional[str] = None) -> QueryDataflow:
-        """Maintain *query* over *peer*'s view incrementally.
-
-        The first call compiles the query (join order from the planner)
-        and primes it on the current snapshot — one from-scratch
-        evaluation; every later push advances the result in O(|delta|).
-        Returns the :class:`QueryDataflow` (idempotent per label).
-        """
-        if label is None:
-            label = f"{peer}:{id(query):x}"
-        entry = self._queries.get(label)
-        if entry is not None:
-            return entry[1]
-        dataflow = QueryDataflow(query, self.snapshot(peer))
-        self._queries[label] = (peer, dataflow)
-        return dataflow
-
-    def maintained(self) -> Dict[str, QueryDataflow]:
-        """The maintained queries by label."""
-        return {label: df for label, (_, df) in self._queries.items()}
-
     # ------------------------------------------------------------------
     # Delta-less transitions
     # ------------------------------------------------------------------
@@ -336,25 +274,18 @@ class DeltaGraph:
     def rebuild(self, instance: Instance) -> None:
         """Reset to *instance* after a delta-less state change (recovery).
 
-        Materialized views are recomputed lazily on next read; maintained
-        queries are re-primed — both O(|I|), the unavoidable cost when no
-        delta exists.
+        Materialized views are recomputed lazily on next read — O(|I|),
+        the unavoidable cost when no delta exists.
         """
         self.instance = instance
         self._views.clear()
-        rebuilt = {
-            label: (peer, QueryDataflow(df.query, self.snapshot(peer)))
-            for label, (peer, df) in self._queries.items()
-        }
-        self._queries = rebuilt
 
     def advanced(self, delta: Delta) -> "DeltaGraph":
         """A derived graph past *delta*; this one is untouched.
 
         For branching searches: the clone shares the (immutable) global
-        and view instances copy-on-write.  Subscribers and maintained
-        queries are *not* carried over — they hold mutable state owned
-        by this graph's consumers.
+        and view instances copy-on-write.  Subscribers are *not* carried
+        over — they hold mutable state owned by this graph's consumers.
         """
         clone = object.__new__(type(self))
         clone.schema = self.schema
@@ -363,7 +294,6 @@ class DeltaGraph:
         clone.pushes = self.pushes
         clone._subscribers = {}
         clone._views = dict(self._views)
-        clone._queries = {}
         clone._serial = 0
         clone.push(delta)
         return clone
@@ -373,12 +303,11 @@ class DeltaGraph:
             "pushes": self.pushes,
             "peers": len(self.peers),
             "materialized_views": sorted(self._views),
-            "maintained_queries": sorted(self._queries),
             "subscribers": sorted(self._subscribers),
         }
 
     def __repr__(self) -> str:
         return (
             f"DeltaGraph(peers={len(self.peers)}, pushes={self.pushes}, "
-            f"views={sorted(self._views)}, queries={len(self._queries)})"
+            f"views={sorted(self._views)})"
         )

@@ -1,11 +1,11 @@
-"""Closure-compiled evaluation of planned FCQ¬ queries.
+"""Closure-compiled execution of planned FCQ¬ queries.
 
-The planner (:mod:`repro.workflow.planner`) interprets a
-:class:`~repro.workflow.planner.QueryPlan` literal by literal: every
-candidate tuple pays generic ``_unify`` calls, per-step valuation-dict
-copies and a recursive generator frame per join depth.  This module
-removes that interpretation overhead by *compiling* each plan into a
-specialized Python function:
+The planner (:mod:`repro.workflow.planner`) decides how a body is
+joined — the literal order and where each filter runs.  Executing that
+decision literal by literal would pay generic ``_unify`` calls,
+per-step valuation-dict copies and a recursive generator frame per
+join depth for every candidate tuple.  This module instead *compiles*
+each plan into a specialized Python function:
 
 * the join loops are unrolled — one nested ``for``/``if`` block per
   positive literal, in the order the planner's selectivity heuristic
@@ -19,8 +19,7 @@ specialized Python function:
   depth that binds their variables (the planner's push-down schedule),
   as inline conditions;
 * valuations live in locals — one ``x{i}`` per query variable — and a
-  result dict is built only for each *emitted* valuation, exactly like
-  the interpreter's final ``dict(valuation)``.
+  result dict is built only for each *emitted* valuation.
 
 Null semantics come for free: ``⊥`` is the identity-equality singleton
 :data:`~repro.workflow.domain.NULL`, so the plain ``==``/``!=``/``in``
@@ -34,8 +33,8 @@ cached on the plan (``plan.compiled``), which itself lives in the
 planner's ``WeakKeyDictionary`` — so closures die with their query.
 
 The property suite in ``tests/workflow/test_planner_equivalence.py``
-asserts compiled ≡ planned ≡ naive valuation multisets on random
-schemas, instances and queries.
+asserts compiled ≡ naive valuation multisets on random schemas,
+instances and queries.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def _emit_filter(gen: _CodeGen, flt: object) -> None:
     """One pushed-down filter as an inline guard at the current depth.
 
     Failure falls through (skips the rest of the enclosing block), which
-    is exactly the interpreter's pruning of the partial valuation.
+    prunes the partial valuation.
     """
     if isinstance(flt, Comparison):
         # NULL is an identity-equality singleton, so == / != agree with
@@ -160,7 +159,7 @@ def _emit_filter(gen: _CodeGen, flt: object) -> None:
     attrs = gen.capture("A", flt.view.attributes)
     # contains_tuple: rows.get(values[0]) == Tuple(attrs, values); keys
     # are unique so membership is one probe at the target's key (a null
-    # key is never stored and answers absent, like the interpreter).
+    # key is never stored and answers absent, like the naive scan).
     gen.stmt(f"{probe} = {rows}.get({gen.term(flt.terms[0])})")
     gen.block(
         f"if {probe} is None or {probe}.values != ({values},) "
@@ -249,9 +248,9 @@ def _emit_rel_step(gen: _CodeGen, step) -> None:
 
     tup = gen.fresh("t")
     if probed:
-        # Same positions order as the interpreter's _candidates_for
-        # (constants first, then bound variables), so both backends
-        # share one materialized signature index per instance.
+        # Positions in a fixed order (constants first, then bound
+        # variables), so every closure probing the same positions
+        # shares one materialized signature index per instance.
         positions = tuple(pos for pos, _ in probed)
         values = ", ".join(expr for _, expr in probed)
         sig = gen.sig(step.name, positions)
@@ -282,8 +281,8 @@ def compile_order(plan, ordered, schedule) -> CompiledQuery:
     and filter push-down schedule (``QueryPlan._schedule``).  The
     closure takes an instance and returns ``(valuations, candidates)``
     where *valuations* is the list of satisfying valuation dicts and
-    *candidates* counts the tuples considered — the same number the
-    interpreter's ``candidates`` profile counter accumulates.
+    *candidates* counts the tuples (and keys) considered, which the
+    plan's ``candidates`` profile counter accumulates.
     """
     started = perf_counter_ns()
     gen = _CodeGen()
@@ -361,10 +360,10 @@ def compile_order(plan, ordered, schedule) -> CompiledQuery:
 def run_compiled(plan, inst: Instance) -> List[Dict[Var, object]]:
     """Evaluate *plan* on *inst* through its compiled closure.
 
-    Chooses the join order exactly as the interpreter does (selectivity
-    depends on the instance's cardinalities), then dispatches to the
-    closure compiled for that order — generated on first use and cached
-    on the plan.
+    Asks the plan for its join order on *inst* (selectivity depends on
+    the instance's cardinalities), then dispatches to the closure
+    compiled for that order — generated on first use and cached on the
+    plan.
     """
     start = perf_counter()
     plan.evals += 1

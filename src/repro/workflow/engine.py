@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
 
 from ..dataflow.delta import Delta
-from ..deprecation import deprecated_module_attrs
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from ..runtime.budget import ambient_checkpoint
@@ -376,15 +375,3 @@ def event_effect(
         if before.tuple_with_key(relation, k) != after.tuple_with_key(relation, k)
     }
     return {"created": new - old, "deleted": old - new, "modified": modified}
-
-
-#: The delta-facing entry points moved to :mod:`repro.dataflow`; the old
-#: engine names keep working for one release with a DeprecationWarning.
-__getattr__ = deprecated_module_attrs(
-    __name__,
-    {
-        "ViewDelta": ("repro.dataflow", "Delta"),
-        "delta_visible_to": ("repro.dataflow", "delta_visible_to"),
-        "refresh_view_instance": ("repro.dataflow", "refresh_view_instance"),
-    },
-)

@@ -82,7 +82,7 @@ class ApplicableEventIndex:
     >>> # index = ApplicableEventIndex(program, instance)
     >>> # events = list(index.events(fresh_source))
     >>> # successor, delta = apply_event_with_delta(schema, instance, e, None)
-    >>> # index.advance(e, delta, successor)
+    >>> # index.advance(delta, successor)
     """
 
     def __init__(

@@ -1,10 +1,12 @@
-"""Planned, indexed evaluation of FCQ¬ queries.
+"""Query plans for FCQ¬ bodies: join order, filter push-down, profiling.
 
 The naive evaluator in :mod:`repro.workflow.queries` joins the positive
 literals in declared order by scanning whole relations and checks every
 negative literal with a linear membership test.  This module compiles
 each :class:`~repro.workflow.queries.Query` once into a
-:class:`QueryPlan` and evaluates it with three classic improvements:
+:class:`QueryPlan` that decides *how* the body is joined; the compiler
+(:mod:`repro.workflow.compiler`) turns each decision into a specialized
+closure and executes it.  A plan carries three classic improvements:
 
 * **join ordering** — at execution time the positive literals are
   greedily reordered most-selective-first, using the instance's
@@ -29,45 +31,28 @@ valuations are emitted may differ; the property suite in
 equality on random schemas, instances and queries.
 
 Backend selection is process-wide: ``REPRO_QUERY_BACKEND`` picks
-``naive`` (declared-order scans), ``planned`` (this module's
-interpreter) or ``compiled`` (the default — :mod:`.compiler` turns each
-plan into a specialized closure); :func:`set_backend` switches at
-runtime and every caller of :meth:`Query.valuations` is oblivious.
-(The pre-backend toggles — ``REPRO_NAIVE_QUERIES=1`` and
-``set_planned`` — completed their deprecation cycle and are gone.)
+``naive`` (the declared-order reference evaluator, the oracle) or
+``compiled`` (the default — the plan executed as a closure);
+:func:`set_backend` switches at runtime and every caller of
+:meth:`Query.valuations` is oblivious.  Any other value is an error.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from time import perf_counter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, List, Optional, Tuple as PyTuple
 
 from .evalstats import EVAL_STATS
 from .instance import Instance
-from .queries import (
-    Comparison,
-    Const,
-    KeyLiteral,
-    Literal,
-    Query,
-    RelLiteral,
-    Var,
-    _UNBOUND,
-    _unify,
-    term_value,
-)
-from .tuples import Tuple
+from .queries import Const, KeyLiteral, Literal, Query, RelLiteral, Var
 
 __all__ = [
     "QueryPlan",
-    "evaluate",
     "plan_for",
     "label_query",
     "query_backend",
     "set_backend",
-    "planned_enabled",
     "profile_rows",
     "render_profile",
     "reset_profile",
@@ -75,25 +60,32 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Global switch: one of three backends, compiled by default
+# Global switch: the naive oracle or the compiled fast path
 # ----------------------------------------------------------------------
 
 #: Valid values of ``REPRO_QUERY_BACKEND`` / :func:`set_backend`.
-BACKENDS: PyTuple[str, ...] = ("naive", "planned", "compiled")
+BACKENDS: PyTuple[str, ...] = ("naive", "compiled")
+
+
+def _check_backend(name: str) -> str:
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown query backend {name!r}; expected one of {', '.join(BACKENDS)}"
+        )
+    return name
 
 
 def _backend_from_env() -> str:
+    """``REPRO_QUERY_BACKEND``, validated; unset or empty means compiled."""
     explicit = os.environ.get("REPRO_QUERY_BACKEND", "").strip().lower()
-    if explicit in BACKENDS:
-        return explicit
-    return "compiled"
+    return _check_backend(explicit) if explicit else "compiled"
 
 
 _BACKEND = _backend_from_env()
 
 
 def query_backend() -> str:
-    """The active evaluation backend: ``naive``, ``planned`` or ``compiled``."""
+    """The active evaluation backend: ``naive`` or ``compiled``."""
     return _BACKEND
 
 
@@ -104,31 +96,18 @@ def set_backend(name: str) -> str:
     the returned previous backend to restore state in a ``finally``.
     """
     global _BACKEND
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown query backend {name!r}; expected one of {', '.join(BACKENDS)}"
-        )
     previous = _BACKEND
-    _BACKEND = name
+    _BACKEND = _check_backend(name)
     return previous
 
 
-def planned_enabled() -> bool:
-    """True when :meth:`Query.valuations` avoids the naive evaluator.
-
-    Predates the three-way backend switch; kept because callers only
-    ever used it to mean "is the fast path on?".
-    """
-    return _BACKEND != "naive"
-
-
 # ----------------------------------------------------------------------
-# Compiled literal steps
+# Plan steps
 # ----------------------------------------------------------------------
 
 
 class _RelStep:
-    """A compiled positive relational literal."""
+    """A positive relational literal, analysed once for planning."""
 
     __slots__ = ("literal", "name", "terms", "arity", "key_position", "const_items", "var_items", "variables")
 
@@ -149,7 +128,7 @@ class _RelStep:
 
 
 class _KeyStep:
-    """A compiled positive key literal ``Key_R@p(y)``."""
+    """A positive key literal ``Key_R@p(y)``, analysed once for planning."""
 
     __slots__ = ("literal", "name", "term", "variables")
 
@@ -160,35 +139,20 @@ class _KeyStep:
         self.variables: FrozenSet[Var] = literal.variables()
 
 
-def _filter_holds(flt: Literal, valuation: Dict[Var, object], inst: Instance) -> bool:
-    """One pushed-down filter: a comparison or a negative literal.
-
-    Membership probes are O(1) (:meth:`Instance.has_key` /
-    :meth:`Instance.contains_tuple`); a ground tuple with a null key can
-    never be stored, so ``contains_tuple`` answers False for it exactly
-    like the naive scan does.
-    """
-    if isinstance(flt, Comparison):
-        return flt.holds(valuation)
-    if isinstance(flt, KeyLiteral):
-        return not inst.has_key(flt.view.name, term_value(flt.term, valuation))
-    values = tuple(term_value(t, valuation) for t in flt.terms)
-    return not inst.contains_tuple(flt.view.name, Tuple(flt.view.attributes, values))
-
-
 # ----------------------------------------------------------------------
 # Query plans
 # ----------------------------------------------------------------------
 
 
 class QueryPlan:
-    """A compiled FCQ¬ query: ordered, indexed, filter-pushing evaluation.
+    """An FCQ¬ query planned for ordered, indexed, filter-pushing joins.
 
-    Compilation analyses each literal once (positions of constants and
+    Planning analyses each literal once (positions of constants and
     variables, the key position, the variable set).  The join *order* is
     chosen per evaluation because selectivity depends on the instance's
     relation cardinalities; ordering is O(n²) in the number of positive
-    literals, which is tiny next to the joins it saves.
+    literals, which is tiny next to the joins it saves.  The compiler
+    executes each chosen order as a closure cached in ``compiled``.
 
     Each plan keeps its own profile counters (``evals``, ``candidates``,
     ``emitted``, ``elapsed``) feeding the ``--profile-queries`` table.
@@ -281,87 +245,6 @@ class QueryPlan:
                     break
         return ordered, schedule
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-
-    def _candidates_for(
-        self, step: _RelStep, valuation: Dict[Var, object], inst: Instance
-    ) -> Sequence[Tuple]:
-        positions: List[int] = []
-        values: List[object] = []
-        for pos, value in step.const_items:
-            positions.append(pos)
-            values.append(value)
-        for pos, var in step.var_items:
-            value = valuation.get(var, _UNBOUND)
-            if value is not _UNBOUND:
-                positions.append(pos)
-                values.append(value)
-        if not positions:
-            return inst.relation(step.name)
-        for pos, value in zip(positions, values):
-            if pos == step.key_position:
-                EVAL_STATS.index_hits += 1
-                tup = inst.tuple_with_key(step.name, value)
-                return (tup,) if tup is not None else ()
-        return inst.tuples_matching(step.name, tuple(positions), tuple(values))
-
-    def run(self, inst: Instance) -> Iterator[Dict[Var, object]]:
-        """All satisfying valuations on *inst* (order is plan-defined)."""
-        start = perf_counter()
-        self.evals += 1
-        EVAL_STATS.planned_evals += 1
-        try:
-            ordered, schedule = self._schedule(inst)
-            yield from self._join(ordered, schedule, 0, {}, inst)
-        finally:
-            self.elapsed += perf_counter() - start
-
-    def _join(
-        self,
-        ordered: List[object],
-        schedule: List[List[Literal]],
-        depth: int,
-        valuation: Dict[Var, object],
-        inst: Instance,
-    ) -> Iterator[Dict[Var, object]]:
-        for flt in schedule[depth]:
-            if not _filter_holds(flt, valuation, inst):
-                return
-        if depth == len(ordered):
-            self.emitted += 1
-            EVAL_STATS.valuations_emitted += 1
-            yield dict(valuation)
-            return
-        step = ordered[depth]
-        if isinstance(step, _KeyStep):
-            term = step.term
-            if isinstance(term, Const) or term in valuation:
-                # has_key answers False for ⊥ exactly like unification
-                # against the (never-null) stored keys would.
-                if inst.has_key(step.name, term_value(term, valuation)):
-                    EVAL_STATS.index_hits += 1
-                    yield from self._join(ordered, schedule, depth + 1, valuation, inst)
-                return
-            for key in inst.keys(step.name):
-                self.candidates += 1
-                EVAL_STATS.literals_scanned += 1
-                extended = _unify(term, key, valuation)
-                if extended is not None:
-                    yield from self._join(ordered, schedule, depth + 1, extended, inst)
-            return
-        for tup in self._candidates_for(step, valuation, inst):
-            self.candidates += 1
-            EVAL_STATS.literals_scanned += 1
-            extended: Optional[Dict[Var, object]] = valuation
-            for term, value in zip(step.terms, tup.values):
-                extended = _unify(term, value, extended)
-                if extended is None:
-                    break
-            if extended is not None:
-                yield from self._join(ordered, schedule, depth + 1, extended, inst)
-
 
 # ----------------------------------------------------------------------
 # Plan cache and profile registry
@@ -386,11 +269,6 @@ def plan_for(query: Query) -> QueryPlan:
         EVAL_STATS.plan_cache_hits += 1
         plan.cache_hits += 1
     return plan
-
-
-def evaluate(query: Query, inst: Instance) -> Iterator[Dict[Var, object]]:
-    """Planned evaluation of *query* on *inst* (the hot path)."""
-    return plan_for(query).run(inst)
 
 
 def label_query(query: Query, label: str) -> None:
@@ -487,15 +365,12 @@ def render_profile(limit: int = 20) -> str:
         f"index_builds={stats.index_builds} index_hits={stats.index_hits} "
         f"scanned={stats.literals_scanned} emitted={stats.valuations_emitted}"
     )
-    # Incremental maintenance is not query evaluation: the dataflow
-    # operators' time gets its own line so the table above stays a pure
-    # evaluation profile.
-    if stats.dataflow_pushes or stats.dataflow_query_steps:
+    # Incremental maintenance is not query evaluation: graph pushes get
+    # their own line so the table above stays a pure evaluation profile.
+    if stats.dataflow_pushes:
         lines.append(
             f"dataflow pushes={stats.dataflow_pushes} "
-            f"push_ms={stats.dataflow_ns / 1e6:.2f} "
-            f"query_steps={stats.dataflow_query_steps} "
-            f"query_step_ms={stats.dataflow_query_ns / 1e6:.2f}"
+            f"push_ms={stats.dataflow_ns / 1e6:.2f}"
         )
     return "\n".join(lines)
 

@@ -30,11 +30,11 @@ class Var(tuple):
     """A variable term.
 
     A ``tuple`` subclass rather than a dataclass: valuations are dicts
-    keyed by variables, and on the evaluation hot paths (the planner's
-    unify steps, the compiled closures' emitted valuations) every dict
-    insertion hashes its key.  Tuple's C-level hash avoids a Python
-    ``__hash__`` frame per insertion — measurably the dominant cost of
-    emitting large valuation sets.  Equality and pickling follow the
+    keyed by variables, and on the evaluation hot paths (the naive
+    evaluator's unify steps, the compiled closures' emitted
+    valuations) every dict insertion hashes its key.  Tuple's C-level
+    hash avoids a Python ``__hash__`` frame per insertion — measurably
+    the dominant cost of emitting large valuation sets.  Equality and pickling follow the
     wrapped 1-tuple; ``Var("x") == Var("x")`` and never equals a
     :class:`Const`.
     """
@@ -314,29 +314,24 @@ class Query:
         backend switch (``REPRO_QUERY_BACKEND`` /
         :func:`~repro.workflow.planner.set_backend`): by default the
         compiled backend (:mod:`repro.workflow.compiler`) runs a
-        specialized closure generated from the query's plan; ``planned``
-        selects the plan interpreter (indexed candidate fetches,
-        selectivity-ordered joins, pushed-down filters); ``naive``
-        restores the declared-order reference evaluator.  The result
-        *multiset* is identical across all three; only the emission
-        order may differ.
+        specialized closure generated from the query's plan; ``naive``
+        selects the declared-order reference evaluator.  The result
+        *multiset* is identical across both; only the emission order may
+        differ.
         """
         from . import planner  # deferred: planner imports this module
 
-        backend = planner.query_backend()
-        if backend == "compiled":
+        if planner.query_backend() == "compiled":
             from . import compiler  # deferred: compiler imports this module
 
             return compiler.evaluate(self, view_instance)
-        if backend == "planned":
-            return planner.evaluate(self, view_instance)
         return self.valuations_naive(view_instance)
 
     def valuations_naive(self, view_instance: Instance) -> Iterator[Dict[Var, object]]:
         """Reference evaluation: backtracking join in declared literal
         order over the positive literals, then negative-literal and
-        comparison filtering.  Kept as the semantic baseline the planner
-        is property-tested against (and as the fallback path)."""
+        comparison filtering.  Kept as the semantic baseline the compiled
+        backend is property-tested against (and as the fallback path)."""
         EVAL_STATS.naive_evals += 1
         yield from self._extend({}, list(self.positive_literals()), view_instance)
 

@@ -12,13 +12,15 @@ carry a body witness on their key).
 :func:`differential_check` drives one program through every engine pair
 the stack promises equivalent:
 
-* ``backends`` — the same seeded run generated under the ``naive``,
-  ``planned`` and ``compiled`` query backends must produce bit-identical
-  event streams, final instances and peer views;
+* ``backends`` — the same seeded run replayed under the ``naive`` and
+  ``compiled`` query backends must produce bit-identical event streams,
+  final instances and peer views;
 * ``dataflow`` — pushing each event's delta through a
-  :class:`~repro.dataflow.graph.DeltaGraph` (materialized peer views
-  plus every rule body maintained incrementally) must equal from-scratch
-  recomputation;
+  :class:`~repro.dataflow.graph.DeltaGraph` (materialized peer views)
+  and advancing an
+  :class:`~repro.workflow.eventindex.ApplicableEventIndex` with the
+  resulting effect (every rule body's cached valuations) must equal
+  from-scratch recomputation;
 * ``recovery`` — journaling the run and recovering it (full
   ``recover_run`` re-execution and the ``fast_recover`` checkpoint
   path) must reproduce the run, its views and its provenance;
@@ -48,6 +50,7 @@ from ..runtime.checkpoint import fast_recover
 from ..runtime.journal import MemorySink, journal_run, recover_run
 from ..workflow.engine import apply_event_with_delta
 from ..workflow.enumerate import RunGenerator, applicable_events
+from ..workflow.eventindex import ApplicableEventIndex
 from ..workflow.instance import Instance
 from ..workflow.parser import parse_program
 from ..workflow.planner import set_backend
@@ -71,7 +74,7 @@ __all__ = [
 #: The engine pairs :func:`differential_check` exercises, in order.
 PAIRS = ("backends", "dataflow", "recovery", "cluster")
 
-_QUERY_BACKENDS = ("naive", "planned", "compiled")
+_QUERY_BACKENDS = ("naive", "compiled")
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,7 @@ def _initial_instance(program: WorkflowProgram, run: Run) -> Instance:
 def _check_backends(
     program: WorkflowProgram, run: Run, seed: int, steps: int
 ) -> PairOutcome:
-    """The naive/planned/compiled backends on the same event stream.
+    """The naive and compiled backends on the same event stream.
 
     Each backend replays the run's fixed events (query evaluation gates
     every application) and enumerates the applicable events at the final
@@ -433,21 +436,39 @@ def _check_backends(
     return PairOutcome("backends", True)
 
 
+def _valuation_rows(valuations) -> List[str]:
+    """A valuation multiset rendered order-independently."""
+    return sorted(
+        repr(sorted((var.name, repr(value)) for var, value in valuation.items()))
+        for valuation in valuations
+    )
+
+
 def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
-    """Incrementally maintained views and rule bodies vs from-scratch."""
+    """Graph-patched views and index-maintained rule bodies vs from-scratch.
+
+    The applicable-event index advances with each push's
+    :class:`~repro.dataflow.graph.DeltaEffect`, as on the service, and
+    every rule body is brought up to date after every event: a cached
+    valuation list the delta should have invalidated survives to the
+    final comparison.
+    """
     schema = program.schema
     instance = _initial_instance(program, run)
     graph = DeltaGraph(schema, instance)
     for peer in schema.peers:
         graph.snapshot(peer)
-    for rule in program.rules:
-        if rule.body.literals:  # creation rules have nothing to maintain
-            graph.maintain(rule.body, rule.peer, label=rule.name)
+    index = ApplicableEventIndex(program, instance)
+    rules = range(len(index.rules))
+    for i in rules:
+        index.body_valuations(i)
     for event in run.events:
         instance, delta = apply_event_with_delta(
             schema, instance, event, forbidden_fresh=None, check_body=False
         )
-        graph.push(delta)
+        index.advance(graph.push(delta), instance)
+        for i in rules:
+            index.body_valuations(i)
     if _canonical_views(program, graph.instance) != _canonical_views(
         program, run.final_instance
     ):
@@ -463,20 +484,14 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
             return PairOutcome(
                 "dataflow", False, f"maintained view of peer {peer!r} diverged"
             )
-    for label, dataflow in graph.maintained().items():
-        rule = program.rule(label)
+    for i, rule in enumerate(index.rules):
         scratch_view = schema.view_instance(run.final_instance, rule.peer)
-        expected = sorted(
-            repr(sorted((v.name, repr(value)) for v, value in valuation.items()))
-            for valuation in rule.body.valuations(scratch_view)
-        )
-        maintained = sorted(
-            repr(sorted((v.name, repr(value)) for v, value in valuation.items()))
-            for valuation in dataflow.valuations()
-        )
-        if expected != maintained:
+        expected = _valuation_rows(rule.body.valuations(scratch_view))
+        if _valuation_rows(index.body_valuations(i)) != expected:
             return PairOutcome(
-                "dataflow", False, f"maintained body of rule {label!r} diverged"
+                "dataflow",
+                False,
+                f"index-maintained body of rule {rule.name!r} diverged",
             )
     return PairOutcome("dataflow", True)
 
@@ -574,8 +589,8 @@ def differential_check(
     """Run *program* through the requested engine pairs.
 
     The seeded baseline run is generated once under the ambient query
-    backend and shared by the dataflow/recovery/cluster pairs; the
-    ``backends`` pair regenerates it under all three backends.
+    backend and shared by every pair; the ``backends`` pair replays it
+    under both backends.
     """
     unknown = set(pairs) - set(PAIRS)
     if unknown:

@@ -1,19 +1,16 @@
 """Pin the small public surface the property suites reach only obliquely.
 
-ZSet dunder edges, the Delta accessors on hand-built transitions (update
-actions, both-sided zsets), the function-form shims, and the DeltaEffect
-delegation layer — cheap direct calls so the contract of each name is
-pinned, not just the paths the differential suites happen to cross.
+The Delta accessors on hand-built transitions (update actions), the
+function forms, and the DeltaEffect delegation layer — cheap direct
+calls so the contract of each name is pinned, not just the paths the
+differential suites happen to cross.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.dataflow import (
     Delta,
     DeltaGraph,
-    ZSet,
     delta_visible_to,
     refresh_view_instance,
 )
@@ -33,27 +30,6 @@ def one_push():
     )
     effect = graph.push(delta, seq=1)
     return program, run, delta, graph, effect
-
-
-class TestZSetEdges:
-    def test_arithmetic_rejects_non_zsets(self):
-        with pytest.raises(TypeError):
-            ZSet.singleton("a") + 1
-        with pytest.raises(TypeError):
-            ZSet.singleton("a") - 1
-
-    def test_equality_against_non_zsets_is_false_not_an_error(self):
-        assert (ZSet.singleton("a") == 5) is False
-        assert ZSet.singleton("a") != 5
-
-    def test_support_preserves_insertion_order(self):
-        z = ZSet.singleton("b", 2) + ZSet.singleton("a", -1)
-        assert z.support() == ("b", "a")
-
-    def test_repr_round_trips_the_weights(self):
-        assert repr(ZSet()) == "ZSet()"
-        shown = repr(ZSet.singleton("a", -2))
-        assert "'a'" in shown and "-2" in shown
 
 
 class TestDeltaAccessors:
@@ -78,17 +54,6 @@ class TestDeltaAccessors:
         assert actions[("R", 2)] == "delete"
         assert actions[("R", 3)] == "update"
 
-    def test_zset_carries_both_sides_of_an_update(self):
-        z = self.delta.zset("R")
-        assert z.weight("r1-new") == 1
-        assert z.weight("r2-old") == -1
-        assert z.weight("r3-old") == -1
-        assert z.weight("r3-new") == 1
-
-    def test_zsets_drops_relations_that_net_to_zero(self):
-        zs = self.delta.zsets()
-        assert set(zs) == {"R"}  # S's rewrite to itself cancels
-
     def test_function_forms_match_the_methods(self):
         program, run, delta, _, _ = one_push()
         schema = program.schema
@@ -109,9 +74,6 @@ class TestDeltaEffectDelegation:
         assert effect.chase_merged == delta.chase_merged
         assert effect.is_empty() == delta.is_empty()
         assert effect.touched() == delta.touched()
-        assert effect.zsets() == delta.zsets()
-        for relation in delta.changes:
-            assert effect.zset(relation) == delta.zset(relation)
 
 
 class TestGraphSurface:
@@ -124,12 +86,6 @@ class TestGraphSurface:
         graph.push(Delta(changes={}), seq=2)
         assert len(seen) == 2
         assert graph.unsubscribe(first)
-
-    def test_maintain_without_label_is_idempotent_per_query(self):
-        program, _, _, graph, _ = one_push()
-        rule = program.rules[0]
-        dataflow = graph.maintain(rule.body, rule.peer)
-        assert graph.maintain(rule.body, rule.peer) is dataflow
 
     def test_repr_names_the_push_count(self):
         _, _, _, graph, _ = one_push()

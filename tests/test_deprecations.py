@@ -1,78 +1,52 @@
-"""The deprecation shims of the dataflow consolidation.
+"""Retired names stay retired.
 
 The delta-facing entry points moved into :mod:`repro.dataflow`
 (``ViewDelta`` -> ``Delta``, plus the ``delta_visible_to`` /
-``refresh_view_instance`` function forms); the old engine and
-``repro.workflow`` spellings keep working for one release through
-PEP 562 module ``__getattr__`` shims that warn and resolve to the new
-objects.  This suite pins exactly that shim set — and pins that the
-*previous* generation of shims (the PR 3/4 renamed kwargs and
-pre-backend toggles) is gone, so nothing resurrects them silently.
+``refresh_view_instance`` function forms).  The old engine and
+``repro.workflow`` spellings kept working for one release through PEP
+562 module ``__getattr__`` shims; that release is over, so the shims
+and ``repro.deprecation`` are gone.  This suite pins that — and that
+the *previous* generation of shims (the renamed search-limit kwargs
+and pre-backend toggles) is gone too, so nothing resurrects them
+silently.
 """
 
 from __future__ import annotations
 
+import importlib
 import warnings
 
 import pytest
 
-from repro.deprecation import deprecated_module_attrs
-
-
-class TestDeprecatedModuleAttrs:
-    def test_resolves_with_warning(self):
-        getter = deprecated_module_attrs(
-            "fake.module", {"OldName": ("repro.dataflow", "Delta")}
-        )
-        with pytest.warns(DeprecationWarning, match="fake.module.OldName"):
-            resolved = getter("OldName")
-        from repro.dataflow import Delta
-
-        assert resolved is Delta
-
-    def test_warning_names_the_new_location(self):
-        getter = deprecated_module_attrs(
-            "fake.module", {"OldName": ("repro.dataflow", "Delta")}
-        )
-        with pytest.warns(DeprecationWarning, match="repro.dataflow.Delta"):
-            getter("OldName")
-
-    def test_unknown_attribute_raises_attribute_error(self):
-        getter = deprecated_module_attrs("fake.module", {})
-        with pytest.raises(AttributeError, match="fake.module"):
-            getter("anything")
-
 
 class TestMovedDeltaNames:
-    """The engine's delta surface now lives in repro.dataflow."""
+    """The engine's delta surface lives only in repro.dataflow."""
 
-    def test_engine_viewdelta_is_dataflow_delta(self):
-        import repro.dataflow as dataflow
+    def test_engine_viewdelta_is_gone(self):
         import repro.workflow.engine as engine
 
-        with pytest.warns(DeprecationWarning, match="repro.dataflow.Delta"):
-            assert engine.ViewDelta is dataflow.Delta
+        with pytest.raises(AttributeError):
+            engine.ViewDelta
 
-    def test_workflow_viewdelta_is_dataflow_delta(self):
-        import repro.dataflow as dataflow
+    def test_workflow_viewdelta_is_gone(self):
         import repro.workflow as workflow
 
-        with pytest.warns(DeprecationWarning, match="repro.dataflow.Delta"):
-            assert workflow.ViewDelta is dataflow.Delta
+        with pytest.raises(AttributeError):
+            workflow.ViewDelta
+        with pytest.raises(ImportError):
+            from repro.workflow import ViewDelta  # noqa: F401
 
-    def test_engine_delta_visible_to_shim(self):
-        import repro.dataflow as dataflow
+    def test_engine_delta_visible_to_is_gone(self):
         import repro.workflow.engine as engine
 
-        with pytest.warns(DeprecationWarning, match="delta_visible_to"):
-            assert engine.delta_visible_to is dataflow.delta_visible_to
+        with pytest.raises(AttributeError):
+            engine.delta_visible_to
 
-    def test_engine_refresh_view_instance_shim(self):
-        import repro.dataflow as dataflow
+    def test_engine_refresh_view_instance_is_gone(self):
         import repro.workflow.engine as engine
 
-        with pytest.warns(DeprecationWarning, match="refresh_view_instance"):
-            assert engine.refresh_view_instance is dataflow.refresh_view_instance
+        with pytest.raises(AttributeError):
+            engine.refresh_view_instance
 
     def test_new_locations_are_warning_free(self):
         with warnings.catch_warnings():
@@ -94,9 +68,9 @@ class TestRetiredShims:
     """The PR 3/4 shims completed their cycle and are gone for good."""
 
     def test_renamed_kwarg_is_gone(self):
-        import repro.deprecation as deprecation
-
-        assert not hasattr(deprecation, "renamed_kwarg")
+        # renamed_kwarg lived in repro.deprecation, which is gone whole.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.deprecation")
 
     def test_set_planned_is_gone(self):
         from repro.workflow import planner

@@ -2,8 +2,9 @@
 
 A deterministic corpus of fuzzer-generated programs plus the four
 realistic families is pushed through every engine pair — naive vs
-planned vs compiled query backends, incremental dataflow vs from-scratch
-recomputation, journal recovery vs the live run, and the sharded
+compiled query backends, graph-patched views and the applicable-event
+index's cached rule bodies vs from-scratch recomputation, journal
+recovery vs the live run, and the sharded
 cluster service vs a single shard.  Any divergence fails with a
 copy-pasteable reproduce one-liner
 (``python -m repro.workloads.fuzz --seed N --steps S``) that replays and
@@ -29,6 +30,7 @@ from repro.workloads import (
     fuzz_program,
     get_family,
 )
+from repro.workflow.eventindex import ApplicableEventIndex
 from repro.workloads.fuzz import PAIRS
 
 _SCALES = {"smoke": 25, "ci": 200, "nightly": 500}
@@ -80,6 +82,29 @@ def test_hypothesis_sweep_backends_and_dataflow(seed, steps):
             program, seed=seed, steps=steps, pairs=("backends", "dataflow")
         )
     )
+
+
+def test_dataflow_pair_catches_skipped_rule_invalidation(monkeypatch):
+    """The dataflow pair is not vacuous: an index that patches its views
+    but never invalidates a cached rule body fails it on the corpus."""
+
+    def advance_without_invalidation(self, delta, successor):
+        self.instance = successor
+        for peer in self._views:
+            self._views[peer] = self._refresh(peer, delta)
+
+    monkeypatch.setattr(
+        ApplicableEventIndex, "advance", advance_without_invalidation
+    )
+    failures = [
+        outcome.detail
+        for seed in range(_SCALES["smoke"])
+        for outcome in differential_check(
+            fuzz_program(seed), seed=seed, steps=12, pairs=("dataflow",)
+        ).failures
+    ]
+    assert failures
+    assert all("index-maintained body" in detail for detail in failures)
 
 
 def test_reproduce_one_liner_actually_reproduces():

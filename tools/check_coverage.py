@@ -11,10 +11,10 @@ Per-package floors plus a total ratchet, all read from
   planner and the query compiler) must stay at or above this line
   coverage; the compiled backend is only trustworthy to the extent the
   equivalence suites actually reach its codegen paths.
-* ``dataflow_floor`` — the ``repro.dataflow`` package (the Z-set
-  algebra, the incremental operators, the delta graph) must stay at or
-  above this line coverage; every derived artifact in the service rides
-  on these operators being exercised.
+* ``dataflow_floor`` — the ``repro.dataflow`` package (the transition
+  delta and the delta graph) must stay at or above this line coverage;
+  every derived artifact in the service rides on the graph's fused
+  observation pass being exercised.
 * ``workloads_floor`` — the ``repro.workloads`` package (the program
   generators, the realistic families, the fuzzer and its differential
   harness) must stay at or above this line coverage; a fuzzer whose own
