@@ -21,6 +21,13 @@ Three questions, one per table:
   prices that against the same traffic with both runs resident.
   Rehydration must stay O(tail), not O(run), thanks to the snapshots.
 
+* **E18d** — compaction.  What one ``SegmentStore.compact()`` costs
+  under flush durability as the history grows, at the moment the
+  service compacts: ``snapshot_every`` 10, four snapshots written
+  since the previous compaction.  Compaction copies the kept lines
+  verbatim (CRC-checked, never re-encoded), so its cost is the bytes
+  it copies plus two fsyncs; the table reports both.
+
 ``BENCH_E18_SCALE=smoke`` shrinks the workloads for CI and drops the
 shape assertions (shared runners cannot price anything).  The full run
 archives its measurements in ``BENCH_E18.json`` at the repo root (the
@@ -48,7 +55,7 @@ from repro.runtime.journal import (
     snapshot_record,
 )
 from repro.service import ShardedRunRegistry
-from repro.storage import open_backend
+from repro.storage import compact_records, open_backend
 from repro.workflow import Event, FreshValue, Var, execute
 from repro.workloads import churn_program
 
@@ -264,11 +271,86 @@ def test_e18c_eviction_rehydration(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
+def _pending_history(program, length, snapshot_every=10, pending=4):
+    """A store's records just before an automatic compaction: *length*
+    events, the snapshot the previous compaction kept, and the
+    *pending* snapshots written since."""
+    run = execute(program, _make_events(program, length))
+    first = length - pending * snapshot_every
+    records = [begin_record(run.initial)]
+    for index, event in enumerate(run.events):
+        records.append(event_record(index, event))
+        done = index + 1
+        if done >= first and done % snapshot_every == 0:
+            records.append(snapshot_record(index, done, run.instances[index]))
+    return records
+
+
+def test_e18d_compaction_cost(benchmark):
+    program = churn_program()
+    lengths = (60, 120) if SMOKE else (200, 800, 3200)
+    repeats = 1 if SMOKE else 5
+    rows = []
+    json_rows = []
+    with tempfile.TemporaryDirectory(prefix="bench-e18d-") as tmp:
+        for length in lengths:
+            records = _pending_history(program, length)
+            kept = compact_records(records)
+            samples = []
+            for attempt in range(repeats):
+                spec = f"segment:{_fresh_dir(tmp, f'compact-{length}-{attempt}')}"
+                backend = open_backend(spec, durability="flush")
+                store = backend.store("bench")
+                for record in records:
+                    store.append(record)
+                start = time.perf_counter()
+                stats = store.compact()
+                samples.append(time.perf_counter() - start)
+                got, warnings = store.read()
+                assert got == kept and warnings == []
+                store.close()
+                backend.close()
+            samples.sort()
+            compact_ms = samples[len(samples) // 2] * 1e3
+            rows.append(
+                [
+                    length,
+                    stats.records_before,
+                    stats.records_after,
+                    f"{stats.bytes_after / 1024:.1f}",
+                    f"{compact_ms:.2f}",
+                ]
+            )
+            json_rows.append(
+                {
+                    "events": length,
+                    "records_before": stats.records_before,
+                    "records_after": stats.records_after,
+                    "bytes_before": stats.bytes_before,
+                    "bytes_copied": stats.bytes_after,
+                    "compact_ms": round(compact_ms, 3),
+                    "repeats": repeats,
+                }
+            )
+    print_table(
+        "E18d: one segment-store compaction (flush, snapshot_every 10, "
+        "4 snapshots pending)",
+        ["events", "records", "kept", "KiB copied", "ms"],
+        rows,
+    )
+    _baseline["compaction"] = json_rows
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
 def test_e18_write_baseline(benchmark):
     """Archive the measured numbers (full runs only — smoke sizes would
     overwrite the committed baseline with non-comparable figures)."""
     if not SMOKE and _baseline:
         BASELINE_PATH.write_text(
-            json.dumps({"experiment": "E18", **_baseline}, indent=2) + "\n"
+            json.dumps(
+                {"experiment": "E18", "cpu_count": os.cpu_count(), **_baseline},
+                indent=2,
+            )
+            + "\n"
         )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -410,7 +410,7 @@ class WorkflowService:
         store = self._replica_stores.get(run_id)
         if request.get("count"):
             if store is not None:
-                count = len(store.read()[0])
+                count = store.record_count()
             elif backend.exists(run_id):
                 count = len(backend.read_records(run_id)[0])
             else:

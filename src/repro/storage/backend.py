@@ -69,6 +69,7 @@ __all__ = [
     "StorageCorruptionError",
     "StorageError",
     "compact_records",
+    "kept_positions",
     "open_backend",
 ]
 
@@ -216,33 +217,38 @@ class CompactionStats:
         }
 
 
-def compact_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The compacted form of a journal's records.
+def kept_positions(kinds: List[Optional[str]]) -> List[int]:
+    """The positions compaction keeps, decided from record types alone.
 
-    Kept, in order: the begin record, every event and quarantine record
-    (the replayable evidence — explanations and provenance need the full
-    history), the *latest* snapshot at its correct position, and the
-    final end record when the journal is sealed (an ``end`` as its last
-    record).  Dropped: superseded snapshots and stale end markers left
-    behind by crash/recover cycles.  Replaying the compacted records
-    yields a state bit-identical to replaying the originals, and
+    *kinds* is the ``type`` of each record in order.  Kept: the begin
+    record, every event and quarantine record (the replayable evidence —
+    explanations and provenance need the full history), the *latest*
+    snapshot, and the final end record when the journal is sealed (an
+    ``end`` as its last record).  Dropped: superseded snapshots and
+    stale end markers left behind by crash/recover cycles.
+    """
+    last_snapshot = None
+    for position, kind in enumerate(kinds):
+        if kind == "snapshot":
+            last_snapshot = position
+    last = len(kinds) - 1
+    return [
+        position
+        for position, kind in enumerate(kinds)
+        if (kind != "snapshot" or position == last_snapshot)
+        and (kind != "end" or position == last)
+    ]
+
+
+def compact_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The compacted form of a journal's records (see :func:`kept_positions`).
+
+    Replaying the compacted records yields a state bit-identical to
+    replaying the originals, and
     :func:`~repro.runtime.checkpoint.fast_recover` on them does
     O(events since the kept snapshot) engine work.
     """
-    last_snapshot = None
-    for position, record in enumerate(records):
-        if record.get("type") == "snapshot":
-            last_snapshot = position
-    sealed = bool(records) and records[-1].get("type") == "end"
-    kept: List[Dict[str, Any]] = []
-    for position, record in enumerate(records):
-        kind = record.get("type")
-        if kind == "snapshot" and position != last_snapshot:
-            continue
-        if kind == "end" and not (sealed and position == len(records) - 1):
-            continue
-        kept.append(record)
-    return kept
+    return [records[i] for i in kept_positions([r.get("type") for r in records])]
 
 
 # ----------------------------------------------------------------------

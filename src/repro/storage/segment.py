@@ -26,14 +26,26 @@ disappear under the live process — the unsynced window only matters
 across a power cut, exactly as the durability matrix in
 ``docs/STORAGE.md`` states.
 
-**Compaction.**  ``compact()`` writes the compacted records
-(:func:`~repro.storage.backend.compact_records`) into a fresh segment,
-fsyncs it, then atomically replaces the MANIFEST and deletes the old
-segments.  A crash in any window leaves either the old manifest (new
-segment is an orphan) or the new one (old segments are orphans);
-orphans are swept on the next open, so acknowledged records are never
-lost — the property ``tests/storage/test_compaction_crash.py`` kills
-the process at every step to prove.
+**Compaction.**  The store keeps a type index: the ``type`` of every
+record in its live segments, in order, extended by each acknowledged
+append.  ``compact()`` decides what to keep from those types alone
+(:func:`~repro.storage.backend.kept_positions`, the rule behind
+:func:`~repro.storage.backend.compact_records`), then copies the kept
+lines verbatim into a fresh segment, checking each against its CRC, so
+the compacted segment holds exactly the bytes a decode-and-re-encode
+would write.  Only when the types are unknown (a store just reopened,
+or offline ``repro compact``) or a fault repair is pending does it read
+— and decode — the history first; it never re-encodes a record.  The
+copy still reads and writes O(history) bytes per compaction.  Damage
+found while copying raises
+:class:`~repro.storage.backend.StorageCorruptionError` before the
+MANIFEST swap.  After the copy, the compacted segment is fsynced, then
+the MANIFEST is atomically replaced and the old segments deleted.  A
+crash in any window leaves either the old manifest (new segment is an
+orphan) or the new one (old segments are orphans); orphans are swept
+on the next open, so acknowledged records are never lost — the
+property ``tests/storage/test_compaction_crash.py`` kills the process
+at every step to prove.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from .backend import (
     StorageCorruptionError,
     StorageError,
     TAIL_RECOVERIES,
-    compact_records,
+    kept_positions,
 )
 
 __all__ = ["SegmentBackend", "SegmentStore"]
@@ -94,53 +106,72 @@ def _corrupt(line: str) -> str:
     return body[:middle] + flipped + body[middle + 1 :] + newline
 
 
-def _parse_segment(
-    data: str,
-) -> PyTuple[List[Dict[str, Any]], int, Optional[str]]:
-    """``(records, valid_bytes, tail_problem)`` for one segment's bytes.
+def _located(problem: str, data: str, end: int) -> str:
+    """*problem* with a mid-segment mark when any data follows *end*.
 
-    *valid_bytes* is the offset just past the last valid record;
-    *tail_problem* describes why parsing stopped early (None when the
-    whole segment is valid).
+    Only a *final* damaged record is recoverable tail damage.  Anything
+    after it means acknowledged history was damaged mid-log — the mark
+    lets callers refuse to heal.
     """
-    records: List[Dict[str, Any]] = []
+    if end < len(data):
+        return f"{problem} (mid-segment, valid data follows)"
+    return problem
+
+
+def _scan_segment(
+    data: str,
+) -> PyTuple[List[PyTuple[int, int]], int, Optional[str]]:
+    """``(lines, valid_bytes, tail_problem)``: the framing check for one
+    segment's bytes, shared by every reader.
+
+    *lines* holds the ``(start, end)`` span of each valid line — newline
+    terminated, framed, its CRC matching its payload — with *end* just
+    past the newline.  *valid_bytes* is the offset just past the last
+    valid line; *tail_problem* describes why scanning stopped early
+    (None when the whole segment is valid).
+    """
+    lines: List[PyTuple[int, int]] = []
     offset = 0
     while offset < len(data):
         newline = data.find("\n", offset)
         if newline < 0:
-            return records, offset, "torn final record (no newline)"
-        line = data[offset:newline]
+            return lines, offset, "torn final record (no newline)"
         problem = None
-        if len(line) < 10 or line[8] != " ":
+        if newline - offset < 10 or data[offset + 8] != " ":
             problem = "unframed record line"
         else:
-            crc_text, payload = line[:8], line[9:]
             try:
-                expected = int(crc_text, 16)
+                expected = int(data[offset : offset + 8], 16)
             except ValueError:
                 problem = "unparseable CRC"
             else:
+                payload = data[offset + 9 : newline]
                 if zlib.crc32(payload.encode("utf-8")) != expected:
                     problem = "CRC mismatch"
-                else:
-                    try:
-                        record = json.loads(payload)
-                    except json.JSONDecodeError:
-                        problem = "CRC-valid but undecodable payload"
-                    else:
-                        if not isinstance(record, dict) or "type" not in record:
-                            problem = "not a typed record"
-                        else:
-                            records.append(record)
         if problem is not None:
-            # Only a *final* damaged record is recoverable tail damage.
-            # Anything valid after it means acknowledged history was
-            # damaged mid-log — flag it so callers can refuse to heal.
-            if data.find("\n", newline + 1) >= 0 or newline + 1 < len(data):
-                problem = f"{problem} (mid-segment, valid data follows)"
-            return records, offset, problem
+            return lines, offset, _located(problem, data, newline + 1)
+        lines.append((offset, newline + 1))
         offset = newline + 1
-    return records, offset, None
+    return lines, offset, None
+
+
+def _parse_segment(
+    data: str,
+) -> PyTuple[List[Dict[str, Any]], int, Optional[str]]:
+    """``(records, valid_bytes, tail_problem)``: :func:`_scan_segment`
+    plus JSON decoding and the typed-record check."""
+    lines, valid_bytes, problem = _scan_segment(data)
+    records: List[Dict[str, Any]] = []
+    for start, end in lines:
+        try:
+            record = json.loads(data[start + 9 : end - 1])
+        except json.JSONDecodeError:
+            problem = _located("CRC-valid but undecodable payload", data, end)
+            return records, start, problem
+        if not isinstance(record, dict) or "type" not in record:
+            return records, start, _located("not a typed record", data, end)
+        records.append(record)
+    return records, valid_bytes, problem
 
 
 class SegmentStore(RunStore):
@@ -158,6 +189,12 @@ class SegmentStore(RunStore):
         self._needs_repair = False
         self._load_manifest()
         self._sweep_orphans()
+        #: The ``type`` of every record in the live segments, in order:
+        #: what :meth:`compact` decides from.  None (unknown) for an
+        #: existing store until the first :meth:`read` builds it.
+        self._kinds: Optional[List[Optional[str]]] = (
+            None if self._segments else []
+        )
         #: Tail repairs performed when the store was opened; surfaced by
         #: the next :meth:`read` so recovery paths can report them.
         self._open_warnings: List[str] = self._recover_tail()
@@ -319,8 +356,11 @@ class SegmentStore(RunStore):
         policy = self.backend.durability
         if policy.flushes:
             self._sink.flush()
+        kind = record.get("type")
+        if self._kinds is not None:
+            self._kinds.append(kind)
         self._appends_since_sync += 1
-        barrier = record.get("type") in ("snapshot", "end")
+        barrier = kind in ("snapshot", "end")
         if policy.wants_fsync(self._appends_since_sync, barrier):
             try:
                 self.sync()
@@ -365,42 +405,75 @@ class SegmentStore(RunStore):
         self._appends_since_sync = 0
 
     def read(self) -> PyTuple[List[Dict[str, Any]], List[str]]:
+        records, warnings = self._read_segments()
+        warnings = self._open_warnings + warnings
+        self._open_warnings = []
+        return records, warnings
+
+    def _read_segments(self) -> PyTuple[List[Dict[str, Any]], List[str]]:
+        """Decode every live segment and rebuild the type index from it.
+
+        The warnings are the segments' own; the open-time tail repairs
+        stay for :meth:`read` to hand out.
+        """
         if self._sink is not None and not self._sink.closed:
             self._sink.flush()
         if self._needs_repair:
             self._repair()
         records: List[Dict[str, Any]] = []
-        warnings: List[str] = list(self._open_warnings)
-        self._open_warnings = []
+        warnings: List[str] = []
         for position, name in enumerate(self._segments):
-            segment = self.path / name
-            if not segment.exists():
-                raise StorageCorruptionError(
-                    f"manifest names missing segment {name} for run {self.run_id!r}"
-                )
-            parsed, _, problem = _parse_segment(
-                segment.read_text(encoding="utf-8", errors="replace")
-            )
+            parsed, _, problem = _parse_segment(self._segment_text(name))
             if problem is not None:
                 if position != len(self._segments) - 1 or "mid-segment" in problem:
-                    raise StorageCorruptionError(
-                        f"segment {name} of run {self.run_id!r} is damaged "
-                        f"mid-log: {problem}"
-                    )
+                    raise self._damaged(name, problem)
                 warnings.append(f"dropped invalid tail of {name}: {problem}")
             records.extend(parsed)
+        self._kinds = [record["type"] for record in records]
         return records, warnings
 
+    def _segment_text(self, name: str) -> str:
+        try:
+            return (self.path / name).read_text(encoding="utf-8", errors="replace")
+        except FileNotFoundError:
+            raise StorageCorruptionError(
+                f"manifest names missing segment {name} for run {self.run_id!r}"
+            ) from None
+
+    def _damaged(self, name: str, problem: str) -> StorageCorruptionError:
+        return StorageCorruptionError(
+            f"segment {name} of run {self.run_id!r} is damaged mid-log: {problem}"
+        )
+
     def compact(self) -> CompactionStats:
-        records, _ = self.read()
-        kept = compact_records(records)
+        if self._kinds is None or self._needs_repair:
+            self.read()
+        kinds = self._kinds
+        kept = kept_positions(kinds)
+        keep = set(kept)
         bytes_before = self.size_bytes()
         old_segments = list(self._segments)
         name = _segment_name(self._next_segment_index())
         compacted = self.path / name
+        # Copy the kept lines verbatim, each checked against its CRC.
+        # Damage raises before the commit point below, leaving the
+        # compacted file an orphan for the next open to sweep.
+        position = 0
         with open(compacted, "w", encoding="utf-8") as sink:
-            for record in kept:
-                sink.write(_frame(json.dumps(record, sort_keys=True)))
+            for old in old_segments:
+                data = self._segment_text(old)
+                lines, _, problem = _scan_segment(data)
+                if problem is not None:
+                    raise self._damaged(old, problem)
+                for start, end in lines:
+                    if position in keep:
+                        sink.write(data[start:end])
+                    position += 1
+            if position != len(kinds):
+                raise StorageError(
+                    f"run {self.run_id!r} has {position} records on disk but "
+                    f"{len(kinds)} in its type index; compaction refused"
+                )
             sink.flush()
             os.fsync(sink.fileno())
         if self._sink is not None and not self._sink.closed:
@@ -419,13 +492,14 @@ class SegmentStore(RunStore):
         self._sink = open(compacted, "a", encoding="utf-8")
         self._synced_offset = compacted.stat().st_size
         self._appends_since_sync = 0
+        self._kinds = [kinds[i] for i in kept]
         COMPACTIONS.labels(backend=self.backend.name).inc()
         COMPACTION_RECLAIMED.labels(backend=self.backend.name).inc(
-            len(records) - len(kept)
+            len(kinds) - len(kept)
         )
         self.backend.compactions += 1
         return CompactionStats(
-            records_before=len(records),
+            records_before=len(kinds),
             records_after=len(kept),
             bytes_before=bytes_before,
             bytes_after=self.size_bytes(),
@@ -437,7 +511,9 @@ class SegmentStore(RunStore):
             self._sink.close()
 
     def record_count(self) -> int:
-        return len(self.read()[0])
+        if self._kinds is None:
+            self._read_segments()
+        return len(self._kinds)
 
     def size_bytes(self) -> int:
         if self._sink is not None and not self._sink.closed:

@@ -8,7 +8,13 @@ import pytest
 
 from repro.cluster import ReplicationShipper, reconcile_with_follower
 from repro.cluster.replicate import ReplicatingBackend, parse_address
-from repro.service import ServiceClient, ServiceServer, WorkflowService
+from repro.runtime.journal import begin_record, event_record
+from repro.service import (
+    ServiceClient,
+    ServiceServer,
+    ShardedRunRegistry,
+    WorkflowService,
+)
 from repro.storage import open_backend
 from repro.storage.backend import StorageError
 from repro.workflow import RunGenerator
@@ -132,6 +138,23 @@ class TestShipping:
 
         run_pair_scenario(scenario, tmp_path)
 
+    def test_count_does_not_decode_a_held_replica(self, tmp_path, segment_json_calls):
+        async def scenario(program, primary, follower, base):
+            client = await ServiceClient.connect(follower.host, follower.port)
+            try:
+                records = [{"type": "begin"}]
+                records += [{"type": "event", "n": n} for n in range(5)]
+                await client.expect_ok(op="replicate", run="held", records=records)
+                first = await client.expect_ok(op="replicate", run="held", count=True)
+                segment_json_calls.clear()
+                second = await client.expect_ok(op="replicate", run="held", count=True)
+                assert first["records"] == second["records"] == len(records)
+                assert segment_json_calls["loads"] == 0
+            finally:
+                await client.close()
+
+        run_pair_scenario(scenario, tmp_path)
+
 
 class TestReplicatingBackend:
     def test_appends_enqueue_and_compaction_is_refused(self, tmp_path):
@@ -167,6 +190,55 @@ class TestReplicatingBackend:
             shipper.enqueue("r", 0, {"type": "begin"})
             assert not await shipper.drain(timeout=0.2)
             await shipper.aclose()
+
+        asyncio.run(main())
+
+
+def torn_store(root, program):
+    """A segment store holding a run whose last record was torn."""
+    run = RunGenerator(program, seed=5).random_run(6)
+    backend = open_backend(f"segment:{root}")
+    store = backend.store("r")
+    store.append(begin_record(run.initial))
+    for index, event in enumerate(run.events):
+        store.append(event_record(index, event))
+    store.close()
+    backend.close()
+    [segment] = store.path.glob("seg-*.log")
+    with open(segment, "a", encoding="utf-8") as sink:
+        sink.write('deadbeef {"type": "event", "ind')
+    return run
+
+
+class TestReplicatedTailRepair:
+    """The wrapper counts the inner store's records when it opens; that
+    count must not swallow the tail-repair warnings of the open."""
+
+    def test_store_read_reports_the_repair(self, tmp_path):
+        async def main():
+            torn_store(tmp_path, churn_program())
+            shipper = ReplicationShipper("127.0.0.1:1")  # never connected
+            backend = ReplicatingBackend(open_backend(f"segment:{tmp_path}"), shipper)
+            store = backend.store("r")
+            _, warnings = store.read()
+            store.close()
+            await shipper.aclose()
+            assert any("torn final record" in w for w in warnings)
+
+        asyncio.run(main())
+
+    def test_registry_run_reports_the_repair(self, tmp_path):
+        async def main():
+            program = churn_program()
+            run = torn_store(tmp_path, program)
+            shipper = ReplicationShipper("127.0.0.1:1")
+            backend = ReplicatingBackend(open_backend(f"segment:{tmp_path}"), shipper)
+            registry = ShardedRunRegistry(program, storage=backend)
+            hosted, recovered = await registry.open("r")
+            assert recovered and hosted.applied == len(run.events)
+            await registry.close("r")
+            await shipper.aclose()
+            assert any("torn final record" in w for w in hosted.recovery_warnings)
 
         asyncio.run(main())
 

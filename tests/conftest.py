@@ -1,9 +1,14 @@
-"""Shared fixtures: canonical programs and runs from the paper."""
+"""Shared fixtures: canonical programs and runs from the paper, and a
+counter of the segment store's JSON calls."""
 
 from __future__ import annotations
 
+import collections
+import json
+
 import pytest
 
+from repro.storage import segment
 from repro.workflow import Event, execute
 from repro.workloads import paper_examples
 
@@ -53,3 +58,27 @@ def transitive_closure():
 @pytest.fixture
 def opaque_veto():
     return paper_examples.opaque_veto_program()
+
+
+@pytest.fixture
+def segment_json_calls(monkeypatch):
+    """A counter of the ``json.loads``/``json.dumps`` calls the segment
+    store makes — only the ``json`` name the segment module looks up is
+    patched, so decoding elsewhere (protocol, manifests read by other
+    modules) is not counted.  ``clear()`` it to open a window."""
+    calls = collections.Counter()
+
+    class CountingJson:
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+        def loads(self, *args, **kwargs):
+            calls["loads"] += 1
+            return json.loads(*args, **kwargs)
+
+        def dumps(self, *args, **kwargs):
+            calls["dumps"] += 1
+            return json.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(segment, "json", CountingJson())
+    return calls

@@ -16,7 +16,12 @@ import pytest
 
 from repro.runtime.checkpoint import fast_recover
 from repro.runtime.journal import begin_record, event_record, snapshot_record
-from repro.storage import SegmentBackend, compact_records
+from repro.storage import (
+    SegmentBackend,
+    StorageCorruptionError,
+    StorageError,
+    compact_records,
+)
 from repro.storage.segment import _frame
 from repro.workflow import Event, FreshValue, Var, execute
 from repro.workloads.generators import churn_program
@@ -137,3 +142,58 @@ class TestKillDuringCompaction:
         manifest.write_text(json.dumps(state))
         after, _ = recovered_records(tmp_path)
         assert acked_events(after) == acked_events(before)
+
+
+def segment_bytes(run_dir):
+    return {
+        p.name: p.read_bytes() for p in run_dir.iterdir() if p.name.startswith("seg-")
+    }
+
+
+class TestCompactionRefusesDamage:
+    """Damage the copy finds raises before the commit point."""
+
+    def test_interior_damage_after_open(self, tmp_path):
+        program, backend, store, run = populated_store(tmp_path)
+        store.read()  # the types are known: compaction copies lines
+        run_dir = store.path
+        manifest = (run_dir / "MANIFEST").read_bytes()
+        first = run_dir / json.loads(manifest)["segments"][0]
+        lines = first.read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        middle = len(lines[1]) // 2
+        flipped = "x" if lines[1][middle] != "x" else "y"
+        lines[1] = lines[1][:middle] + flipped + lines[1][middle + 1 :]
+        first.write_text("".join(lines))
+        damaged = segment_bytes(run_dir)
+        with pytest.raises(StorageCorruptionError) as compacting:
+            store.compact()
+        assert (run_dir / "MANIFEST").read_bytes() == manifest
+        now = segment_bytes(run_dir)
+        assert {name: now[name] for name in damaged} == damaged
+        orphans = [run_dir / name for name in now if name not in damaged]
+        assert orphans  # the half-written compacted segment
+        store.close()
+        reopened = SegmentBackend(tmp_path, segment_bytes=1024).store("r1")
+        assert not any(orphan.exists() for orphan in orphans)
+        with pytest.raises(StorageCorruptionError) as reading:
+            reopened.read()
+        reopened.close()
+        assert str(reading.value) == str(compacting.value)
+
+    def test_unacknowledged_line_on_disk_refuses_the_swap(self, tmp_path):
+        program, backend, store, run = populated_store(tmp_path)
+        before, _ = store.read()
+        run_dir = store.path
+        # A framed, CRC-valid line the store never appended: the disk
+        # and the type index disagree, so nothing may be dropped.
+        stray = {"type": "event", "index": 99}
+        with open(run_dir / store._segments[-1], "a", encoding="utf-8") as sink:
+            sink.write(_frame(json.dumps(stray, sort_keys=True)))
+        manifest = (run_dir / "MANIFEST").read_bytes()
+        with pytest.raises(StorageError, match="type index"):
+            store.compact()
+        assert (run_dir / "MANIFEST").read_bytes() == manifest
+        after, _ = store.read()
+        store.close()
+        assert after == before + [stray]

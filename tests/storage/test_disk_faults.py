@@ -12,8 +12,19 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.faults import DiskFault, DiskFaultInjector, DiskFaultPlan
-from repro.runtime.journal import begin_record, end_record, event_record
-from repro.storage import RecordJournal, SegmentBackend, SqliteBackend
+from repro.runtime.journal import (
+    begin_record,
+    end_record,
+    event_record,
+    snapshot_record,
+)
+from repro.storage import (
+    RecordJournal,
+    SegmentBackend,
+    SqliteBackend,
+    compact_records,
+)
+from repro.storage.segment import _scan_segment
 from repro.workflow import Event, FreshValue, Var, execute
 from repro.workloads.generators import churn_program
 
@@ -32,25 +43,26 @@ def run_records(events=5):
     return program, run, records
 
 
-def one_shot(kind):
-    """An injector that fires *kind* on the first append (or fsync) only."""
+def one_shot(kind, at=0):
+    """An injector that fires *kind* once, on append (or fsync) number
+    *at* (counting from 0)."""
 
     class OneShot:
         def __init__(self):
-            self.fired = False
+            self.calls = 0
             self.injected = {}
 
         def on_append(self):
-            if kind != "fsync" and not self.fired:
-                self.fired = True
-                return kind
-            return None
+            if kind == "fsync":
+                return None
+            self.calls += 1
+            return kind if self.calls == at + 1 else None
 
         def on_fsync(self):
-            if kind == "fsync" and not self.fired:
-                self.fired = True
-                return True
-            return False
+            if kind != "fsync":
+                return False
+            self.calls += 1
+            return self.calls == at + 1
 
     return OneShot()
 
@@ -136,6 +148,44 @@ class TestFsyncFaults:
         store.sync()
         got, _ = store.read()
         assert got == [records[0]]
+
+
+@pytest.mark.parametrize("fault", ["short_write", "corrupt", "enospc", "fsync"])
+def test_compaction_copies_only_acknowledged_lines(tmp_path, fault):
+    """A fault at append 6 is followed at once by a compaction (with the
+    repair still pending for torn and corrupt writes), then the retry
+    and the rest of the history, then a second compaction."""
+    program = churn_program()
+    run = execute(program, [make_event(program, i) for i in range(12)])
+    history = [begin_record(run.initial)]
+    for index, event in enumerate(run.events):
+        history.append(event_record(index, event))
+        if (index + 1) % 3 == 0:
+            history.append(snapshot_record(index, index + 1, run.instances[index]))
+    backend = SegmentBackend(
+        tmp_path,
+        durability="fsync",
+        segment_bytes=1024,
+        fault_injector=one_shot(fault, at=6),
+    )
+    store = backend.store("r1")
+    faults = 0
+    for record in history:
+        try:
+            store.append(record)
+        except DiskFault:
+            faults += 1
+            store.compact()
+            store.append(record)  # the broker's retry
+    assert faults == (0 if fault == "fsync" else 1)
+    store.compact()
+    got, warnings = store.read()
+    store.close()
+    assert got == compact_records(history)
+    assert warnings == []
+    [segment] = [p for p in store.path.iterdir() if p.name.startswith("seg-")]
+    lines, _, problem = _scan_segment(segment.read_text())
+    assert problem is None and len(lines) == len(got)
 
 
 class TestJournalFaultContainment:

@@ -6,9 +6,18 @@ import json
 import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.runtime.journal import begin_record, end_record, event_record, snapshot_record
+from repro.runtime.journal import (
+    begin_record,
+    end_record,
+    event_record,
+    quarantine_record,
+    snapshot_record,
+)
 from repro.storage import SegmentBackend, StorageCorruptionError, compact_records
+from repro.storage.backend import kept_positions
+from repro.storage.segment import _frame
 from repro.workflow import Event, FreshValue, Var, execute
 from repro.workloads.generators import churn_program
 
@@ -24,6 +33,26 @@ def run_records(events=5):
     for index, event in enumerate(run.events):
         records.append(event_record(index, event))
     records.append(snapshot_record(events - 1, events, run.final_instance))
+    records.append(end_record("completed"))
+    return records
+
+
+def mixed_history(events=30):
+    """Begin, events with a snapshot every 10, a quarantine, a stale end
+    marker mid-history (a crash/recover cycle) and a final end."""
+    program = churn_program()
+    run = execute(program, [make_event(program, i) for i in range(events)])
+    records = [begin_record(run.initial)]
+    for index, event in enumerate(run.events):
+        records.append(event_record(index, event))
+        if (index + 1) % 10 == 0:
+            records.append(snapshot_record(index, index + 1, run.instances[index]))
+        if index == 12:
+            records.append(
+                quarantine_record(index + 1, make_event(program, 999), "boom", 3)
+            )
+        if index == 17:
+            records.append(end_record("crashed"))
     records.append(end_record("completed"))
     return records
 
@@ -150,3 +179,102 @@ class TestCompaction:
         got, warnings = reopened.read()
         assert got == run_records() or [r["type"] for r in got][0] == "begin"
         assert not orphan.exists()
+
+
+class TestCopyCompaction:
+    """Compaction copies CRC-checked lines; it never re-encodes."""
+
+    def test_writes_the_bytes_a_decode_and_re_encode_writes(self, tmp_path):
+        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        store = backend.store("r1")
+        fill(store, mixed_history())
+        before, _ = backend.read_records("r1")
+        assert len(segment_files(backend, "r1")) > 1
+        kinds = [r["type"] for r in before]
+        assert kinds.count("snapshot") > 1 and "quarantine" in kinds
+        assert kinds.count("end") == 2
+        store.compact()
+        [segment] = segment_files(backend, "r1")
+        expected = "".join(
+            _frame(json.dumps(r, sort_keys=True)) for r in compact_records(before)
+        )
+        assert segment.read_bytes() == expected.encode("utf-8")
+        store.close()
+
+    def test_known_types_compact_without_decoding(self, tmp_path, segment_json_calls):
+        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        store = backend.store("r1")
+        records = mixed_history()
+        fill(store, records)
+        segment_json_calls.clear()
+        store.compact()
+        assert segment_json_calls == {}
+        assert store.read()[0] == compact_records(records)
+        store.close()
+
+    def test_reopened_store_decodes_once_and_encodes_nothing(
+        self, tmp_path, segment_json_calls
+    ):
+        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        records = mixed_history()
+        store = backend.store("r1")
+        fill(store, records)
+        store.close()
+        reopened = backend.store("r1")
+        segment_json_calls.clear()
+        stats = reopened.compact()
+        assert segment_json_calls["loads"] == len(records)
+        assert segment_json_calls["dumps"] == 0
+        assert stats.records_before == len(records)
+        assert reopened.read()[0] == compact_records(records)
+        reopened.close()
+
+    def test_type_index_stays_aligned(self, tmp_path):
+        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        records = mixed_history()
+
+        def on_disk():
+            return [r["type"] for r in backend.read_records("r1")[0]]
+
+        store = backend.store("r1")
+        assert store._kinds == []
+        fill(store, records[:20])
+        assert len(segment_files(backend, "r1")) > 1  # rolled
+        assert store._kinds == on_disk()
+        store.close()
+        store = backend.store("r1")  # reopened: types unknown until read
+        assert store._kinds is None
+        assert store.record_count() == 20
+        assert store._kinds == on_disk()
+        fill(store, records[20:])
+        assert store._kinds == on_disk()
+        store.compact()
+        assert store._kinds == on_disk() == [
+            r["type"] for r in compact_records(records)
+        ]
+        fill(store, records[1:5])
+        assert store._kinds == on_disk()
+        assert store.record_count() == len(compact_records(records)) + 4
+        store.close()
+
+
+KINDS = st.lists(
+    st.sampled_from(["begin", "event", "snapshot", "quarantine", "end"]),
+    max_size=40,
+)
+
+
+@given(KINDS)
+def test_kept_positions_is_the_compaction_rule(kinds):
+    kept = kept_positions(kinds)
+    assert kept == sorted(set(kept))
+    snapshots = [i for i, kind in enumerate(kinds) if kind == "snapshot"]
+    for position, kind in enumerate(kinds):
+        if kind == "snapshot":
+            assert (position in kept) == (position == snapshots[-1])
+        elif kind == "end":
+            assert (position in kept) == (position == len(kinds) - 1)
+        else:
+            assert position in kept
+    records = [{"type": kind, "n": n} for n, kind in enumerate(kinds)]
+    assert compact_records(records) == [records[i] for i in kept]
