@@ -40,12 +40,15 @@ class IncrementalExplainer:
     :meth:`extend` costs O(|delta|) plus the new requirement edges,
     never O(|I|): the event is applied with
     :func:`~repro.workflow.engine.apply_event_with_delta`, whose body
-    check reads the acting peer's view through keyed lookups, and the
-    transition's :class:`~repro.dataflow.delta.Delta` — complete, since
-    an event touches only the keys in its ground head — gives the
-    lifecycles it opens (``inserted``) and closes (``deleted``), the
-    attributes a chase merge fills in (``update`` keys), and whether the
-    peer sees the event (``visible_to``).
+    check reads the acting peer's view through keyed lookups, and
+    :meth:`advance` follows the transition's
+    :class:`~repro.dataflow.delta.Delta` — complete, since an event
+    touches only the keys in its ground head — for the lifecycles it
+    opens (``inserted``) and closes (``deleted``), the attributes a
+    chase merge fills in (``update`` keys), and whether the peer sees
+    the event (``visible_to``).  A caller that has already applied the
+    event (a hosted run) calls :meth:`advance` with that transition and
+    skips the second application.
 
     >>> # explainer = IncrementalExplainer(program, "sue")
     >>> # for event in events: explainer.extend(event)
@@ -123,9 +126,20 @@ class IncrementalExplainer:
         after, delta = apply_event_with_delta(
             self.schema, self.current_instance, event, forbidden_fresh=None
         )
+        return self.advance(event, delta, after)
+
+    def advance(self, event: Event, delta: Delta, successor: Instance) -> int:
+        """Append an *event* already applied at :attr:`current_instance`.
+
+        *delta* and *successor* must be the transition
+        :func:`~repro.workflow.engine.apply_event_with_delta` returns for
+        *event* there (the engine's :class:`~repro.dataflow.delta.Delta`,
+        not a graph effect).  Returns the index of the new event, as
+        :meth:`extend` does.
+        """
         index = len(self._events)
         self._events.append(event)
-        self._instances.append(after)
+        self._instances.append(successor)
         self._key_occurrences.append(event.key_occurrences())
         closed_now = self._update_lifecycles(index, delta)
         self._record_modifications(index, delta)

@@ -11,7 +11,7 @@ transition — every touched key through every peer's view — and hands
 the resulting :class:`DeltaEffect` to all consumers:
 
 * subscribers registered with :meth:`DeltaGraph.subscribe` (the service
-  view caches, the provenance recorder, explainer fan-out);
+  view caches, the provenance recorder);
 * the graph's own lazily-materialized per-peer view instances
   (:meth:`snapshot`), patched copy-on-write via
   :meth:`~repro.workflow.instance.Instance.replace_tuples`.
@@ -20,6 +20,8 @@ Rule bodies are not maintained here: the applicable-event index
 (:class:`~repro.workflow.eventindex.ApplicableEventIndex`) consumes each
 effect, invalidates the rules whose views changed and re-runs their
 compiled closures — the system's one incremental rule-maintenance path.
+Nor are explanations: a hosted run advances its explainers itself, with
+the engine's own transition delta, after the push.
 
 Per transition the cost is O(|delta| · #peers) plus O(|delta|) per
 consumer — never O(|instance|).  The differential suites in

@@ -59,15 +59,20 @@ Operations
 ``provenance`` ``{"op": "provenance", "run": <id>, "relation": R?,
               "key": k?, "peer": p?}`` — provenance queries over the
               hosted run's per-event provenance log: which events
-              touched relation ``R`` (or its key ``k``), or which
-              events changed peer ``p``'s view.  Without a filter the
-              whole log is returned under ``records``.
+              touched relation ``R`` (or its key ``k``, in the value
+              encoding of ``submit``: ``{"$fresh": n}`` for a fresh
+              value), or which events changed peer ``p``'s view.
+              Without a filter the whole log is returned under
+              ``records``.
 ``provenance_rank`` ``{"op": "provenance_rank", "run": <id>, "peer": p,
               "relation": R?, "key": k?, "method": m?, "samples": s?,
               "seed": n?}`` — Shapley-value attribution of the hosted
               run's events toward a target visible to peer ``p``: the
               fact ``R[k]`` (or all of ``R`` without a key, or the
-              peer's whole view without a relation).  ``method`` is
+              peer's whole view without a relation); ``k`` is in the
+              value encoding of ``submit`` or is the value's repr, as
+              responses cite it, and a relation the peer has no view
+              of is refused (``service``).  ``method`` is
               ``auto`` (default), ``exact`` or ``sampled``; sampling is
               deterministic in ``seed``.  The response's ``ranking``
               lists events most-important first, each merged with its
@@ -88,7 +93,8 @@ Operations
               the journal with status ``completed``.
 ``shutdown``  ``{"op": "shutdown"}`` — drain in-flight mailboxes,
               persist every hosted run's records through the storage
-              backend, and only then acknowledge (``"drained": n``) and
+              backend, and only then acknowledge (``"drained": true``,
+              with ``"synced_runs"``: the number of runs synced) and
               stop the server — when the response arrives, everything
               acknowledged before it is durably applied.
 ``ping``      liveness probe.

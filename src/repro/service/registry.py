@@ -119,8 +119,9 @@ class HostedRun:
     the delta-maintained view caches and the provenance recorder are its
     subscribers, the applicable-event index consumes its effects — and
     one :class:`~repro.core.incremental.IncrementalExplainer` per peer
-    that has asked for explanations, extended in lockstep with the run
-    so explanation queries never replay.
+    that has asked for explanations, advanced in lockstep with the run
+    by the run's own transitions so explanation queries never replay
+    and no event is applied twice.
     """
 
     def __init__(
@@ -228,7 +229,7 @@ class HostedRun:
         if self._event_index is not None:
             self._event_index.advance(effect, result)
         for explainer in self._explainers.values():
-            explainer.extend(event)
+            explainer.advance(event, delta, result)
         return seq, effect
 
     def apply_batch(
@@ -284,7 +285,7 @@ class HostedRun:
                     delta, seq=seq, event=event, span_id=span_id
                 )
                 for explainer in self._explainers.values():
-                    explainer.extend(event)
+                    explainer.advance(event, delta, result)
                 committed.append((effect, result))
                 results.append((seq, effect, self.view_version(event.peer)))
         except BaseException as exc:
@@ -372,10 +373,7 @@ class HostedRun:
 
     def applicable(self, peer: Optional[str] = None) -> List[Event]:
         """The events currently applicable (optionally for one peer)."""
-        events = self.event_index().events()
-        if peer is None:
-            return list(events)
-        return [event for event in events if event.peer == peer]
+        return list(self.event_index().events(peer=peer))
 
     def explainer(self, peer: str) -> IncrementalExplainer:
         """The peer's incremental explainer, created (and caught up) lazily.

@@ -35,6 +35,7 @@ from ..workflow.serialization import (
     event_to_dict,
     instance_from_dict,
     instance_to_dict,
+    value_from_json,
 )
 from .broker import EventBroker
 from .errors import ProtocolError, ServiceError, UnknownRunError, error_code
@@ -332,7 +333,10 @@ class WorkflowService:
         log = hosted.provenance_log()
         response: Dict[str, Any] = {"run": hosted.run_id, "applied": hosted.applied}
         if request.get("relation"):
-            seqs = log.events_touching(request["relation"], request.get("key"))
+            key = request.get("key")
+            seqs = log.events_touching(
+                request["relation"], None if key is None else value_from_json(key)
+            )
             response["seqs"] = list(seqs)
             response["records"] = log.citations(seqs)
         elif request.get("peer"):
@@ -359,6 +363,13 @@ class WorkflowService:
         peer = request["peer"]
         if peer not in self.program.schema.peers:
             raise ServiceError(f"unknown peer {peer!r}")
+        relation = request.get("relation")
+        if relation is not None and (
+            not isinstance(relation, str)
+            or self.program.schema.view(relation, peer) is None
+        ):
+            raise ServiceError(f"peer {peer!r} has no view of relation {relation!r}")
+        key = request.get("key")
         hosted = await self.registry.get(request["run"])
         if hosted.applied > MAX_RANK_EVENTS:
             raise ServiceError(
@@ -373,8 +384,8 @@ class WorkflowService:
         report = shapley_rank(
             run,
             peer,
-            relation=request.get("relation"),
-            key=request.get("key"),
+            relation=relation,
+            key=None if key is None else value_from_json(key),
             method=request.get("method", "auto"),
             samples=request.get("samples", 128),
             seed=request.get("seed", 0),

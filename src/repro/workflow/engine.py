@@ -184,7 +184,7 @@ def _transition(
             raise EventError(
                 f"event {event!r}: body does not hold on {event.peer}'s view"
             )
-    head_only = sorted(event.rule.head_only_variables(), key=lambda v: v.name)
+    head_only = event.rule.sorted_head_only_variables
     if head_only:
         valuation = event.valuation_dict()
         values = [valuation[v] for v in head_only]

@@ -70,7 +70,7 @@ def applicable_events(
         if rule.peer not in view_cache:
             view_cache[rule.peer] = schema.view_instance(instance, rule.peer)
         view_instance = view_cache[rule.peer]
-        head_only = sorted(rule.head_only_variables(), key=lambda v: v.name)
+        head_only = rule.sorted_head_only_variables
         for valuation in rule.body.valuations(view_instance):
             for head_values in head_only_assignments(
                 head_only, fresh_source, head_only_values

@@ -114,10 +114,6 @@ class ApplicableEventIndex:
             )
             for rule in self.rules
         )
-        self._head_only: PyTuple[PyTuple, ...] = tuple(
-            tuple(sorted(rule.head_only_variables(), key=lambda v: v.name))
-            for rule in self.rules
-        )
         # Maintained view instances for every acting peer (computed once
         # here, then patched per delta).
         self._views: Dict[str, Instance] = {
@@ -232,7 +228,6 @@ class ApplicableEventIndex:
         clone.instance = self.instance
         clone.rules = self.rules
         clone._body_views = self._body_views
-        clone._head_only = self._head_only
         clone._views = dict(self._views)
         clone._valuations = list(self._valuations)
         clone.advance(delta, successor)
@@ -267,6 +262,7 @@ class ApplicableEventIndex:
         fresh_source: Optional[FreshValueSource] = None,
         used_values: Optional[Set[object]] = None,
         head_only_values: Optional[Sequence[object]] = None,
+        peer: Optional[str] = None,
     ) -> Iterator[Event]:
         """The events applicable at the current instance.
 
@@ -276,6 +272,14 @@ class ApplicableEventIndex:
         *fresh_source* (or ranging over *head_only_values*), and every
         event checked for update applicability against the current
         global instance.
+
+        With *peer*, exactly *peer*'s subsequence of that enumeration,
+        fresh values included: another peer's rule builds and checks no
+        event, but a rule with head-only variables still mints (and
+        discards) the fresh values the full enumeration would mint for
+        it, so the asking peer's values are numbered identically.  A
+        rule without head-only variables is skipped unevaluated, and no
+        rule after *peer*'s last one is visited.
         """
         schema = self.schema
         instance = self.instance
@@ -285,8 +289,21 @@ class ApplicableEventIndex:
             fresh_source.observe(instance.active_domain())
             if used_values:
                 fresh_source.observe(used_values)
-        for i, rule in enumerate(self.rules):
-            head_only = self._head_only[i]
+        end = len(self.rules)
+        if peer is not None:
+            end = max(
+                (i + 1 for i, rule in enumerate(self.rules) if rule.peer == peer),
+                default=0,
+            )
+        for i, rule in enumerate(self.rules[:end]):
+            head_only = rule.sorted_head_only_variables
+            if peer is not None and rule.peer != peer:
+                if head_only:
+                    for _ in self.body_valuations(i):
+                        next(head_only_assignments(
+                            head_only, fresh_source, head_only_values
+                        ))
+                continue
             for valuation in self.body_valuations(i):
                 for head_values in head_only_assignments(
                     head_only, fresh_source, head_only_values

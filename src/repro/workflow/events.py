@@ -29,14 +29,15 @@ class Event:
     valuation: PyTuple[PyTuple[Var, object], ...]
 
     def __init__(self, rule: Rule, valuation: Mapping[Var, object]) -> None:
-        missing = rule.variables() - set(valuation)
+        variables = rule.variables()
+        missing = variables.difference(valuation)
         if missing:
             raise EventError(
                 f"valuation for rule {rule.name} misses variables "
                 f"{sorted(v.name for v in missing)}"
             )
         items = tuple(sorted(
-            ((var, value) for var, value in valuation.items() if var in rule.variables()),
+            ((var, value) for var, value in valuation.items() if var in variables),
             key=lambda item: item[0].name,
         ))
         object.__setattr__(self, "rule", rule)
@@ -109,16 +110,7 @@ class Event:
         position of a body literal ``R@q(k, ū)`` or ``(¬)Key_R@q(k)``, or
         the key of a head update ``+R@q(k, ū)`` / ``−Key_R@q(k)``.
         """
-        keys: Set[object] = set()
-        for literal in self.ground_body():
-            if isinstance(literal, RelLiteral) and literal.view.relation.name == relation:
-                keys.add(literal.key_term.value)
-            elif isinstance(literal, KeyLiteral) and literal.view.relation.name == relation:
-                keys.add(literal.term.value)
-        for atom in self.ground_head():
-            if atom.view.relation.name == relation:
-                keys.add(atom.key_term.value)
-        return frozenset(k for k in keys if not is_null(k))
+        return self.key_occurrences().get(relation, frozenset())
 
     def relations_mentioned(self) -> FrozenSet[str]:
         """Names of relations whose keys occur in the event."""
@@ -132,8 +124,24 @@ class Event:
         return frozenset(names)
 
     def key_occurrences(self) -> Dict[str, FrozenSet[object]]:
-        """Mapping relation name -> ``K(R, e)`` for relations in the event."""
-        return {name: self.keys_of(name) for name in self.relations_mentioned()}
+        """Mapping relation name -> ``K(R, e)`` for relations in the event.
+
+        One pass over the rule: each key term (of a relational or key
+        literal in the body, or of a head update) is read off the
+        valuation; null keys are dropped, but their relation is still
+        mentioned.
+        """
+        valuation = self.valuation_dict()
+        keys: Dict[str, Set[object]] = {}
+        for part in self.rule.body.literals + self.rule.head:
+            if isinstance(part, Comparison):
+                continue
+            term = part.term if isinstance(part, KeyLiteral) else part.key_term
+            value = term_value(term, valuation)
+            found = keys.setdefault(part.view.relation.name, set())
+            if not is_null(value):
+                found.add(value)
+        return {name: frozenset(found) for name, found in keys.items()}
 
     def __repr__(self) -> str:
         assignment = ", ".join(f"{var.name}={value!r}" for var, value in self.valuation)

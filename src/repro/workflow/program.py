@@ -58,6 +58,7 @@ class WorkflowProgram:
         for rule in self.rules:
             self._by_peer.setdefault(rule.peer, []).append(rule)
         self._by_name: Dict[str, Rule] = {rule.name: rule for rule in self.rules}
+        self._constants: Optional[FrozenSet[object]] = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -87,11 +88,17 @@ class WorkflowProgram:
     # ------------------------------------------------------------------
 
     def constants(self) -> FrozenSet[object]:
-        """``const(P)``: constants used in the program, plus ``⊥``."""
-        out: Set[object] = {NULL}
-        for rule in self.rules:
-            out.update(rule.constants())
-        return frozenset(out)
+        """``const(P)``: constants used in the program, plus ``⊥``.
+
+        Cached: every enumeration of applicable events seeds its fresh
+        source with it.
+        """
+        if self._constants is None:
+            out: Set[object] = {NULL}
+            for rule in self.rules:
+                out.update(rule.constants())
+            self._constants = frozenset(out)
+        return self._constants
 
     def max_head_size(self) -> int:
         """Maximum number of updates in a rule head (``M`` in Section 5)."""

@@ -247,6 +247,7 @@ class Query:
     def __init__(self, literals: Iterable[Literal]) -> None:
         self.literals: PyTuple[Literal, ...] = tuple(literals)
         self._hash: Optional[int] = None
+        self._variables: Optional[FrozenSet[Var]] = None
         safe: Set[Var] = set()
         for lit in self.literals:
             if isinstance(lit, (RelLiteral, KeyLiteral)) and lit.positive:
@@ -274,10 +275,15 @@ class Query:
         return cached
 
     def variables(self) -> FrozenSet[Var]:
-        out: Set[Var] = set()
-        for lit in self.literals:
-            out.update(lit.variables())
-        return frozenset(out)
+        # Cached like the hash: rules and events read it on every build.
+        cached = self._variables
+        if cached is None:
+            out: Set[Var] = set()
+            for lit in self.literals:
+                out.update(lit.variables())
+            cached = frozenset(out)
+            self._variables = cached
+        return cached
 
     def constants(self) -> FrozenSet[object]:
         out: Set[object] = set()

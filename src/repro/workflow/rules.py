@@ -118,6 +118,20 @@ class Rule:
         if not head:
             raise RuleError(f"rule {self.name}: head must contain at least one update")
         object.__setattr__(self, "head", head)
+        # The variable sets are derived once here: every Event built for
+        # the rule reads them, and rebuilding them per read dominated the
+        # cost of constructing one.  They are attributes, not fields, so
+        # equality, hashing and pickling (see __reduce__) stay field-based.
+        head_vars = frozenset(var for atom in head for var in atom.variables())
+        head_only = head_vars - self.body.variables()
+        object.__setattr__(self, "_head_variables", head_vars)
+        object.__setattr__(self, "_variables", head_vars | self.body.variables())
+        object.__setattr__(self, "_head_only_variables", head_only)
+        object.__setattr__(
+            self,
+            "_sorted_head_only",
+            tuple(sorted(head_only, key=lambda v: v.name)),
+        )
         peers = {atom.view.peer for atom in head}
         if len(peers) != 1:
             raise RuleError(f"rule {self.name}: head atoms span several peers {sorted(peers)}")
@@ -130,6 +144,9 @@ class Rule:
                     f"peer {view.peer!r}, but the rule belongs to {peer!r}"
                 )
         self._check_disjoint_updates()
+
+    def __reduce__(self) -> PyTuple[object, ...]:
+        return (type(self), (self.name, self.head, self.body))
 
     @property
     def peer(self) -> str:
@@ -152,10 +169,9 @@ class Rule:
             for cmp in self.body.comparisons()
             if not cmp.positive
         }
-        body_vars = self.body.variables()
 
         def is_fresh_key(term: Term) -> bool:
-            return isinstance(term, Var) and term not in body_vars
+            return isinstance(term, Var) and term in self._head_only_variables
 
         for atoms in by_relation.values():
             for i, first in enumerate(atoms):
@@ -187,23 +203,26 @@ class Rule:
     # ------------------------------------------------------------------
 
     def head_variables(self) -> FrozenSet[Var]:
-        out: Set[Var] = set()
-        for atom in self.head:
-            out.update(atom.variables())
-        return frozenset(out)
+        return self._head_variables
 
     def body_variables(self) -> FrozenSet[Var]:
         return self.body.variables()
 
     def variables(self) -> FrozenSet[Var]:
-        return self.head_variables() | self.body_variables()
+        return self._variables
 
     def head_only_variables(self) -> FrozenSet[Var]:
         """Variables occurring in the head but not in the body.
 
         These must be instantiated with globally fresh values.
         """
-        return self.head_variables() - self.body_variables()
+        return self._head_only_variables
+
+    @property
+    def sorted_head_only_variables(self) -> PyTuple[Var, ...]:
+        """The head-only variables sorted by name: the order in which
+        enumeration mints their fresh values and the engine checks them."""
+        return self._sorted_head_only
 
     def constants(self) -> FrozenSet[object]:
         out: Set[object] = set(self.body.constants())

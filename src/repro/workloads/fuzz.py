@@ -451,7 +451,9 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
     :class:`~repro.dataflow.graph.DeltaEffect`, as on the service, and
     every rule body is brought up to date after every event: a cached
     valuation list the delta should have invalidated survives to the
-    final comparison.
+    final comparison.  At the final instance each peer's answer from the
+    index (the service's ``applicable`` op) must then equal that peer's
+    share of the from-scratch enumeration, fresh values included.
     """
     schema = program.schema
     instance = _initial_instance(program, run)
@@ -492,6 +494,18 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
                 "dataflow",
                 False,
                 f"index-maintained body of rule {rule.name!r} diverged",
+            )
+    scratch_events = list(applicable_events(program, run.final_instance))
+    for peer in schema.peers:
+        expected_events = [
+            event_to_dict(event) for event in scratch_events if event.peer == peer
+        ]
+        answered = [event_to_dict(event) for event in index.events(peer=peer)]
+        if answered != expected_events:
+            return PairOutcome(
+                "dataflow",
+                False,
+                f"index-enumerated events of peer {peer!r} diverged",
             )
     return PairOutcome("dataflow", True)
 

@@ -6,6 +6,11 @@ event takes into a hosted run calls ``CollaborativeSchema.view_instance``
 (an O(|I|) rebuild).  A counting patch over it pins the write path at
 O(|delta|) per event: these tests fail if a whole-view rebuild comes
 back on any of its entry points.
+
+A hosted run's explainers advance with the run's own transition, so
+the engine applies each event once however many explainers are wired;
+a second counting patch, over the engine's single application path,
+pins that.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import pytest
 
 from repro.core.incremental import IncrementalExplainer
 from repro.service.registry import HostedRun
-from repro.workflow import Instance
+from repro.workflow import Instance, engine
 from repro.workflow.engine import apply_events
 from repro.workflow.views import CollaborativeSchema
 from repro.workloads import family_names, get_family
@@ -32,6 +37,24 @@ def view_instance_calls(monkeypatch):
 
     monkeypatch.setattr(CollaborativeSchema, "view_instance", counting)
     return calls
+
+
+@pytest.fixture
+def engine_applications(monkeypatch):
+    """The events the engine applies, from the patch on.
+
+    ``apply_event_with_delta`` and ``apply_events`` both apply through
+    ``engine._apply_event``.
+    """
+    applied = []
+    original = engine._apply_event
+
+    def counting(schema, instance, event, *args, **kwargs):
+        applied.append(event)
+        return original(schema, instance, event, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_apply_event", counting)
+    return applied
 
 
 @pytest.fixture(params=family_names())
@@ -91,3 +114,56 @@ def test_explainer_extend(stream, view_instance_calls):
         for explainer in explainers:
             explainer.extend(event)
     assert view_instance_calls == []
+
+
+def _split(events):
+    """The first half one at a time, the rest in batches of eight."""
+    half = len(events) // 2
+    return events[:half], [events[i : i + 8] for i in range(half, len(events), 8)]
+
+
+def test_hosted_run_applies_each_event_once(stream, engine_applications):
+    """Two wired explainers add no engine application: one per event,
+    through ``apply`` and through ``apply_batch``."""
+    observer, program, run = stream
+    hosted = HostedRun("r", program, Instance.empty(program.schema.schema))
+    hosted.explainer(observer)
+    hosted.explainer(next(p for p in program.schema.peers if p != observer))
+    singles, batches = _split(list(run.events))
+    engine_applications.clear()
+    for event in singles:
+        hosted.apply(event)
+    assert engine_applications == singles
+    for batch in batches:
+        hosted.apply_batch(batch)
+    assert engine_applications == list(run.events)
+
+
+def test_hosted_explainers_match_standalone(stream):
+    """Explainers advanced by the run's transitions (wired before the
+    first event, or caught up midway) answer exactly as explainers that
+    apply every event themselves."""
+    _, program, run = stream
+    peers = program.schema.peers
+    hosted = HostedRun("r", program, Instance.empty(program.schema.schema))
+    for peer in peers[::2]:
+        hosted.explainer(peer)
+    standalone = {peer: IncrementalExplainer(program, peer) for peer in peers}
+    singles, batches = _split(list(run.events))
+    for event in singles:
+        hosted.apply(event)
+    for peer in peers[1::2]:
+        hosted.explainer(peer)
+    for batch in batches:
+        hosted.apply_batch(batch)
+    for event in run.events:
+        for explainer in standalone.values():
+            explainer.extend(event)
+    for peer, reference in standalone.items():
+        served = hosted.explainer(peer)
+        assert served.minimal_scenario() == reference.minimal_scenario()
+        assert [served.explanation_of(i) for i in range(len(run.events))] == [
+            reference.explanation_of(i) for i in range(len(run.events))
+        ]
+        assert served.visible_indices() == reference.visible_indices()
+        assert served.current_instance == reference.current_instance

@@ -55,6 +55,10 @@ class TestIndexMatchesFromScratch:
             indexed = list(index.events())
             scratch = list(applicable_events(program, instance))
             assert indexed == scratch
+            for peer in schema.peers:
+                assert list(index.events(peer=peer)) == [
+                    event for event in scratch if event.peer == peer
+                ]
             if not indexed:
                 break
             event = rng.choice(indexed)

@@ -30,6 +30,7 @@ from repro.workloads import (
     fuzz_program,
     get_family,
 )
+from repro.workflow.enumerate import applicable_events
 from repro.workflow.eventindex import ApplicableEventIndex
 from repro.workloads.fuzz import PAIRS
 
@@ -105,6 +106,35 @@ def test_dataflow_pair_catches_skipped_rule_invalidation(monkeypatch):
     ]
     assert failures
     assert all("index-maintained body" in detail for detail in failures)
+
+
+def test_dataflow_pair_catches_unminted_skipped_rules(monkeypatch):
+    """The per-peer comparison is not vacuous: an index that skips other
+    peers' rules without minting their fresh values (as
+    ``applicable_events(peers=...)`` does) fails it on the corpus."""
+
+    def events_without_minting(
+        self, fresh_source=None, used_values=None, head_only_values=None, peer=None
+    ):
+        return applicable_events(
+            self.program,
+            self.instance,
+            fresh_source,
+            used_values,
+            peers=None if peer is None else [peer],
+            head_only_values=head_only_values,
+        )
+
+    monkeypatch.setattr(ApplicableEventIndex, "events", events_without_minting)
+    failures = [
+        outcome.detail
+        for seed in range(_SCALES["smoke"])
+        for outcome in differential_check(
+            fuzz_program(seed), seed=seed, steps=12, pairs=("dataflow",)
+        ).failures
+    ]
+    assert failures
+    assert all("index-enumerated events" in detail for detail in failures)
 
 
 def test_reproduce_one_liner_actually_reproduces():
