@@ -162,18 +162,26 @@ class MetricFamily:
         return _KINDS[self.kind]()
 
     def labels(self, **labelvalues: Any) -> Any:
-        """The child metric for the given label values (created lazily)."""
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} expects labels {self.labelnames!r}, "
-                f"got {tuple(sorted(labelvalues))!r}"
-            )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
+        """The child metric for the given label values (created lazily).
+
+        The label set must be exactly the family's: equal counts plus a
+        hit for every label name prove it without building either set.
+        """
+        names = self.labelnames
+        if len(labelvalues) == len(names):
+            try:
+                key = tuple([str(labelvalues[name]) for name in names])
+            except KeyError:
+                pass
+            else:
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._make_child()
+                return child
+        raise ValueError(
+            f"metric {self.name!r} expects labels {self.labelnames!r}, "
+            f"got {tuple(sorted(labelvalues))!r}"
+        )
 
     def _default_child(self) -> Any:
         """The unlabelled child (only for families without label names)."""

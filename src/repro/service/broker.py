@@ -1,15 +1,20 @@
 """Async event broker: per-run FIFO mailboxes with admission control.
 
-Submissions for one run are funneled through a bounded mailbox drained
-by a single worker task, which gives the service the paper's run
-semantics for free: events of a hosted run are applied in a total
-order, one at a time, against its current instance.  Distinct runs
-drain concurrently — the asyncio analogue of a shard-per-core event
-loop.
+Events of a hosted run are applied in a total order, one at a time,
+against its current instance — the paper's run semantics.  A submit to
+an idle run (nothing queued, nothing in flight, no fault plan) is
+applied in the submitting task, with no ``await`` between the idleness
+check and the outcome, so nothing can interleave with it.  Events that
+must wait — behind a busy run, in a retry's backoff, through crash
+recovery under a fault plan, or in a ``submit_many`` batch — go
+through a bounded per-run mailbox drained by a single worker task,
+created the first time one of the run's events must wait.  Distinct
+runs progress concurrently — the asyncio analogue of a shard-per-core
+event loop.
 
-Admission control happens *before* enqueueing, so an overloaded or
-budget-exhausted service answers immediately instead of buffering
-unboundedly:
+Admission control happens *before* an event is applied or enqueued, so
+an overloaded or budget-exhausted service answers immediately instead
+of buffering unboundedly:
 
 * **backpressure** — a full mailbox rejects the event with
   ``rejected_backpressure`` (the client retries; nothing was applied);
@@ -35,7 +40,7 @@ import dataclasses
 import weakref
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple as PyTuple
+from typing import Dict, NamedTuple, Optional, Tuple as PyTuple
 
 from ..obs.metrics import METRICS
 from ..runtime.budget import Budget
@@ -49,7 +54,7 @@ from ..runtime.faults import (
 from ..runtime.supervisor import POISON_ERRORS, RetryPolicy
 from ..workflow.events import Event
 from .errors import ServiceError, UnknownRunError
-from .registry import ShardedRunRegistry
+from .registry import HostedRun, ShardedRunRegistry
 
 __all__ = ["EventBroker", "SubmitOutcome"]
 
@@ -131,13 +136,31 @@ class SubmitOutcome:
         return self.status in (REJECTED_BACKPRESSURE, REJECTED_BUDGET)
 
 
+class _Pending(NamedTuple):
+    """A queued submission awaiting the run's worker."""
+
+    event: Event
+    expected_seq: Optional[int]
+    future: asyncio.Future
+    #: Attempts already made in the submitting task (0 or 1): the
+    #: worker backs off from the last of them and continues after it.
+    attempts: int = 0
+
+
 @dataclass
 class _Mailbox:
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
     worker: Optional[asyncio.Task] = None
-    #: 1 while the worker is applying a dequeued event (quiesce must
-    #: wait for it: the event is in flight but no longer in the queue).
+    #: Nonzero while the worker is applying dequeued events (quiesce
+    #: must wait for them: in flight but no longer in the queue).
     in_flight: int = 0
+    #: Set while the queue is empty and nothing is in flight, so
+    #: quiesce can wait for a drain without polling.
+    idle: asyncio.Event = field(default_factory=asyncio.Event)
+
+    def put(self, item: _Pending) -> None:
+        self.queue.put_nowait(item)
+        self.idle.clear()
 
 
 class EventBroker:
@@ -186,11 +209,17 @@ class EventBroker:
     async def submit(
         self, run_id: str, event: Event, expected_seq: Optional[int] = None
     ) -> SubmitOutcome:
-        """Submit one event to *run_id*'s mailbox and await its outcome.
+        """Submit one event to *run_id* and await its outcome.
 
-        FIFO per run: outcomes resolve in mailbox order.  Concurrent
-        submitters interleave at the queue, but each submitter's own
+        FIFO per run: outcomes resolve in submission order.  Concurrent
+        submitters interleave at the mailbox, but each submitter's own
         awaited submissions keep their relative order.
+
+        When the run is idle and no fault plan is set, the event is
+        applied right here, without an ``await`` between the idleness
+        check and the outcome; its first failed attempt hands it to
+        the run's worker, which backs off and continues at attempt 2.
+        Otherwise it queues behind the run's pending events.
 
         *expected_seq* is the protocol's idempotency key: when given
         and the run has already applied that sequence number, the
@@ -199,16 +228,21 @@ class EventBroker:
         cluster router rely on.  An *expected_seq* ahead of the run is
         a gap and raises :class:`ServiceError`.
         """
-        if self.budget is not None and self.budget.exhausted():
-            self.counters[REJECTED_BUDGET] += 1
-            _SUBMISSIONS.labels(status=REJECTED_BUDGET).inc()
-            return SubmitOutcome(
-                run_id,
-                REJECTED_BUDGET,
-                reason=self.budget.violation() or "budget exhausted",
-            )
         hosted = await self.registry.get(run_id)  # raises UnknownRunError
+        if self.budget is not None and self.budget.exhausted():
+            return self._reject_budget(run_id)
         hosted.submitted += 1
+        mailbox = self._mailboxes.get(run_id)
+        if self.fault_plan is None and (
+            mailbox is None or (mailbox.queue.empty() and not mailbox.in_flight)
+        ):
+            outcome = self._attempt(run_id, hosted, event, expected_seq, 1, False)
+            if outcome is not None:
+                self._count(outcome)
+                return outcome
+            attempts = 1  # failed retryably: the worker backs off first
+        else:
+            attempts = 0
         mailbox = self._mailbox(run_id)
         if mailbox.queue.qsize() >= self.queue_capacity:
             self.counters[REJECTED_BACKPRESSURE] += 1
@@ -219,7 +253,7 @@ class EventBroker:
                 reason=f"mailbox full ({self.queue_capacity} events queued)",
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        mailbox.queue.put_nowait((event, expected_seq, future))
+        mailbox.put(_Pending(event, expected_seq, future, attempts))
         return await future
 
     async def submit_many(
@@ -233,8 +267,8 @@ class EventBroker:
         rejection outcome without being enqueued, and the rest of the
         batch proceeds.  Because all entries enter the mailbox before
         any is awaited, the drain worker can apply them as one batch
-        (``batch_size`` permitting); with sequential :meth:`submit`
-        calls the queue never grows past one.
+        (``batch_size`` permitting); sequential :meth:`submit` calls
+        find the run idle and apply inline.
 
         One admission-time divergence from N sequential submits: the
         budget is read when the batch is admitted, so a budget that
@@ -250,15 +284,7 @@ class EventBroker:
         loop = asyncio.get_running_loop()
         for event, expected_seq in entries:
             if self.budget is not None and self.budget.exhausted():
-                self.counters[REJECTED_BUDGET] += 1
-                _SUBMISSIONS.labels(status=REJECTED_BUDGET).inc()
-                outcomes.append(
-                    SubmitOutcome(
-                        run_id,
-                        REJECTED_BUDGET,
-                        reason=self.budget.violation() or "budget exhausted",
-                    )
-                )
+                outcomes.append(self._reject_budget(run_id))
                 continue
             hosted.submitted += 1
             if mailbox.queue.qsize() >= self.queue_capacity:
@@ -273,7 +299,7 @@ class EventBroker:
                 )
                 continue
             future = loop.create_future()
-            mailbox.queue.put_nowait((event, expected_seq, future))
+            mailbox.put(_Pending(event, expected_seq, future))
             pending.append((len(outcomes), future))
             outcomes.append(None)
         for index, future in pending:
@@ -284,11 +310,30 @@ class EventBroker:
         mailbox = self._mailboxes.get(run_id)
         return mailbox.queue.qsize() if mailbox is not None else 0
 
+    def _reject_budget(self, run_id: str) -> SubmitOutcome:
+        self.counters[REJECTED_BUDGET] += 1
+        _SUBMISSIONS.labels(status=REJECTED_BUDGET).inc()
+        return SubmitOutcome(
+            run_id,
+            REJECTED_BUDGET,
+            reason=self.budget.violation() or "budget exhausted",
+        )
+
+    def _count(self, outcome: SubmitOutcome) -> None:
+        """Count a settled outcome and tick the service budget."""
+        self.counters[outcome.status] = self.counters.get(outcome.status, 0) + 1
+        _SUBMISSIONS.labels(status=outcome.status).inc()
+        if self.budget is not None:
+            # Tick the service budget per settled event without raising
+            # out of the applier; admission sees the result.
+            self.budget.steps += 1
+
     # ------------------------------------------------------------------
     # Per-run workers
     # ------------------------------------------------------------------
 
     def _mailbox(self, run_id: str) -> _Mailbox:
+        """The run's mailbox, created with its worker on first need."""
         mailbox = self._mailboxes.get(run_id)
         if mailbox is None:
             mailbox = _Mailbox()
@@ -300,13 +345,15 @@ class EventBroker:
 
     async def _drain(self, run_id: str, mailbox: _Mailbox) -> None:
         while True:
+            if mailbox.queue.empty():
+                mailbox.idle.set()
             items = [await mailbox.queue.get()]
             while len(items) < self.batch_size:
                 try:
                     items.append(mailbox.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            items = [item for item in items if not item[2].cancelled()]
+            items = [item for item in items if not item.future.cancelled()]
             if not items:
                 continue
             mailbox.in_flight = len(items)
@@ -323,9 +370,9 @@ class EventBroker:
                 # Worker cancelled mid-apply (run closed / shutdown):
                 # resolve every dequeued submitter instead of leaving
                 # them hanging (queued ones are failed by the canceller).
-                for _, _, future in items:
-                    if not future.done():
-                        future.set_exception(
+                for item in items:
+                    if not item.future.done():
+                        item.future.set_exception(
                             UnknownRunError(
                                 f"run {run_id!r} closed while its event "
                                 "was in flight"
@@ -341,10 +388,11 @@ class EventBroker:
         event: Event,
         expected_seq: Optional[int],
         future: asyncio.Future,
+        attempts: int = 0,
     ) -> None:
         """Apply one dequeued submission and resolve its future."""
         try:
-            outcome = await self._apply(run_id, event, expected_seq)
+            outcome = await self._apply(run_id, event, expected_seq, attempts)
         except asyncio.CancelledError:
             if not future.done():
                 future.set_exception(
@@ -359,18 +407,13 @@ class EventBroker:
         except Exception as exc:  # defensive: never kill the worker silently
             future.set_exception(exc)
             return
-        self.counters[outcome.status] = self.counters.get(outcome.status, 0) + 1
-        _SUBMISSIONS.labels(status=outcome.status).inc()
-        if self.budget is not None:
-            # Tick the service budget per applied event without
-            # raising out of the worker; admission sees the result.
-            self.budget.steps += 1
+        self._count(outcome)
         future.set_result(outcome)
 
     async def _apply_batched(
         self,
         run_id: str,
-        items: "list[PyTuple[Event, Optional[int], asyncio.Future]]",
+        items: "list[_Pending]",
     ) -> None:
         """Apply a dequeued batch through :meth:`HostedRun.apply_batch`.
 
@@ -385,21 +428,24 @@ class EventBroker:
         try:
             hosted = await self.registry.get(run_id)
         except UnknownRunError as exc:
-            for _, _, future in items:
-                if not future.done():
-                    future.set_exception(exc)
+            for item in items:
+                if not item.future.done():
+                    item.future.set_exception(exc)
             return
         base = hosted.applied
+        # An event handed over after a failed inline attempt must back
+        # off and resume at its next attempt: per-event path too.
         clean = all(
-            expected_seq is None or expected_seq == base + offset
-            for offset, (_, expected_seq, _) in enumerate(items)
+            item.attempts == 0
+            and (item.expected_seq is None or item.expected_seq == base + offset)
+            for offset, item in enumerate(items)
         )
         if not clean:
             for item in items:
                 await self._settle(run_id, *item)
             return
         try:
-            results = hosted.apply_batch([event for event, _, _ in items])
+            results = hosted.apply_batch([item.event for item in items])
         except asyncio.CancelledError:
             raise
         except DiskFault as exc:
@@ -413,24 +459,17 @@ class EventBroker:
             results = list(getattr(exc, "batch_results", ()))
         committed = hosted.applied - base
         for offset in range(committed):
-            _, _, future = items[offset]
-            self.counters[APPLIED] += 1
-            _SUBMISSIONS.labels(status=APPLIED).inc()
-            if self.budget is not None:
-                self.budget.steps += 1
+            outcome = SubmitOutcome(
+                run_id,
+                APPLIED,
+                seq=base + offset,
+                attempts=1,
+                version=results[offset][2] if offset < len(results) else None,
+            )
+            self._count(outcome)
+            future = items[offset].future
             if not future.done():
-                version = (
-                    results[offset][2] if offset < len(results) else None
-                )
-                future.set_result(
-                    SubmitOutcome(
-                        run_id,
-                        APPLIED,
-                        seq=base + offset,
-                        attempts=1,
-                        version=version,
-                    )
-                )
+                future.set_result(outcome)
         # The failing event (if any) and everything behind it re-enter
         # the per-event loop against the committed prefix — the same
         # state a sequential drain would retry them from.
@@ -451,50 +490,29 @@ class EventBroker:
         return injector
 
     async def _apply(
-        self, run_id: str, event: Event, expected_seq: Optional[int] = None
+        self,
+        run_id: str,
+        event: Event,
+        expected_seq: Optional[int] = None,
+        attempts: int = 0,
     ) -> SubmitOutcome:
-        """Apply one event with the supervisor's retry/quarantine policy."""
-        attempt = 0
+        """Apply one event with the supervisor's retry/quarantine policy.
+
+        *attempts* counts the attempts already made in the submitting
+        task; the event backs off from the last of them first, so the
+        engine sees it at most ``retry.max_attempts`` times in all.
+        """
+        attempt = attempts
         recovered = False
         injector = self._injector(run_id)
+        if attempt:
+            await asyncio.sleep(self.retry.backoff(attempt))
         while True:
             attempt += 1
             hosted = await self.registry.get(run_id)
-            if expected_seq is not None:
-                # Checked inside the mailbox worker (not at admission),
-                # so the comparison is race-free against this run's
-                # other in-flight events.
-                if expected_seq < hosted.applied:
-                    return SubmitOutcome(
-                        run_id,
-                        APPLIED,
-                        seq=expected_seq,
-                        attempts=attempt,
-                        recovered=recovered,
-                        deduped=True,
-                    )
-                if expected_seq > hosted.applied:
-                    raise ServiceError(
-                        f"submit seq {expected_seq} is ahead of run "
-                        f"{run_id!r} (applied {hosted.applied}): "
-                        "an acknowledged event is missing"
-                    )
             try:
-                if injector is not None:
-                    # Index by events *attempted* (applied + quarantined),
-                    # which is stable across retries and crash recovery —
-                    # the supervisor's submission-index semantics.
-                    injector.before_apply(
-                        hosted.applied + hosted.quarantined, event
-                    )
-                seq, _ = hosted.apply(event)
-                return SubmitOutcome(
-                    run_id,
-                    APPLIED,
-                    seq=seq,
-                    attempts=attempt,
-                    recovered=recovered,
-                    version=hosted.view_version(event.peer),
+                outcome = self._attempt(
+                    run_id, hosted, event, expected_seq, attempt, recovered, injector
                 )
             except CrashFault:
                 await self.registry.crash_and_recover(run_id)
@@ -504,82 +522,118 @@ class EventBroker:
                 # The injector only crashes once per index: retry resumes
                 # against the journal-recovered instance.
                 continue
-            except DiskFault as exc:
-                # The journal refused the record *before* any in-memory
-                # mutation: the event is unacknowledged and the store
-                # self-heals (truncate-and-recover) on the next append,
-                # so retrying is safe and duplicates are impossible.
-                self.counters["disk_faults"] += 1
-                _BROKER_DISK_FAULTS.inc()
-                if attempt >= self.retry.max_attempts:
-                    hosted.record_quarantine(
-                        event, f"disk fault persisted ({exc.kind}): {exc}", attempt
-                    )
-                    return SubmitOutcome(
-                        run_id,
-                        QUARANTINED,
-                        attempts=attempt,
-                        reason=f"disk fault persisted ({exc.kind}): {exc}",
-                        recovered=recovered,
-                    )
-                self.counters["retries"] += 1
-                _BROKER_RETRIES.inc()
-                await asyncio.sleep(self.retry.backoff(attempt))
-            except TransientFault as exc:
-                if attempt >= self.retry.max_attempts:
-                    hosted.record_quarantine(
-                        event, f"transient fault persisted: {exc}", attempt
-                    )
-                    return SubmitOutcome(
-                        run_id,
-                        QUARANTINED,
-                        attempts=attempt,
-                        reason=f"transient fault persisted: {exc}",
-                        recovered=recovered,
-                    )
-                self.counters["retries"] += 1
-                _BROKER_RETRIES.inc()
-                await asyncio.sleep(self.retry.backoff(attempt))
-            except POISON_ERRORS as exc:
-                diagnostic = f"{type(exc).__name__}: {exc}"
-                if attempt >= self.retry.max_attempts:
-                    hosted.record_quarantine(event, diagnostic, attempt)
-                    return SubmitOutcome(
-                        run_id,
-                        QUARANTINED,
-                        attempts=attempt,
-                        reason=diagnostic,
-                        recovered=recovered,
-                    )
-                self.counters["retries"] += 1
-                _BROKER_RETRIES.inc()
-                await asyncio.sleep(self.retry.backoff(attempt))
+            if outcome is not None:
+                return outcome
+            await asyncio.sleep(self.retry.backoff(attempt))
+
+    def _attempt(
+        self,
+        run_id: str,
+        hosted: HostedRun,
+        event: Event,
+        expected_seq: Optional[int],
+        attempt: int,
+        recovered: bool,
+        injector: Optional[FaultInjector] = None,
+    ) -> Optional[SubmitOutcome]:
+        """Make attempt number *attempt* at applying *event* to *hosted*.
+
+        Returns the settled outcome — applied, deduped, or quarantined
+        once the event has had ``retry.max_attempts`` attempts — or
+        ``None`` when the attempt failed retryably; the caller then
+        backs off ``retry.backoff(attempt)`` and tries again.  An
+        injected :class:`CrashFault` propagates to the caller, which
+        recovers the run.  Nothing here awaits, so the submitting task
+        can run it between its idleness check and its outcome.
+        """
+        if expected_seq is not None:
+            # Checked by whoever applies the event (not at admission),
+            # so the comparison is race-free against this run's other
+            # pending events.
+            if expected_seq < hosted.applied:
+                return SubmitOutcome(
+                    run_id,
+                    APPLIED,
+                    seq=expected_seq,
+                    attempts=attempt,
+                    recovered=recovered,
+                    deduped=True,
+                )
+            if expected_seq > hosted.applied:
+                raise ServiceError(
+                    f"submit seq {expected_seq} is ahead of run "
+                    f"{run_id!r} (applied {hosted.applied}): "
+                    "an acknowledged event is missing"
+                )
+        try:
+            if injector is not None:
+                # Index by events *attempted* (applied + quarantined),
+                # which is stable across retries and crash recovery —
+                # the supervisor's submission-index semantics.
+                injector.before_apply(hosted.applied + hosted.quarantined, event)
+            seq, _ = hosted.apply(event)
+            return SubmitOutcome(
+                run_id,
+                APPLIED,
+                seq=seq,
+                attempts=attempt,
+                recovered=recovered,
+                version=hosted.view_version(event.peer),
+            )
+        except DiskFault as exc:
+            # The journal refused the record *before* any in-memory
+            # mutation: the event is unacknowledged and the store
+            # self-heals (truncate-and-recover) on the next append, so
+            # retrying is safe and duplicates are impossible.
+            self.counters["disk_faults"] += 1
+            _BROKER_DISK_FAULTS.inc()
+            diagnostic = f"disk fault persisted ({exc.kind}): {exc}"
+        except TransientFault as exc:
+            diagnostic = f"transient fault persisted: {exc}"
+        except POISON_ERRORS as exc:
+            diagnostic = f"{type(exc).__name__}: {exc}"
+        if attempt >= self.retry.max_attempts:
+            hosted.record_quarantine(event, diagnostic, attempt)
+            return SubmitOutcome(
+                run_id,
+                QUARANTINED,
+                attempts=attempt,
+                reason=diagnostic,
+                recovered=recovered,
+            )
+        self.counters["retries"] += 1
+        _BROKER_RETRIES.inc()
+        return None
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
 
     async def quiesce(self, run_id: Optional[str] = None) -> None:
-        """Wait until the given run's mailbox (or all mailboxes) drains."""
-        boxes = (
-            [self._mailboxes[run_id]]
-            if run_id is not None and run_id in self._mailboxes
-            else list(self._mailboxes.values())
-        )
+        """Wait until the given run's mailbox (or every mailbox) drains.
+
+        A run without a mailbox has nothing pending: the inline path
+        settles its events before the submitting task yields.
+        """
+        if run_id is None:
+            boxes = list(self._mailboxes.values())
+        else:
+            mailbox = self._mailboxes.get(run_id)
+            boxes = [] if mailbox is None else [mailbox]
         for mailbox in boxes:
-            while not mailbox.queue.empty() or mailbox.in_flight:
-                await asyncio.sleep(0)
+            await mailbox.idle.wait()
 
     def _fail_pending(self, run_id: str, mailbox: _Mailbox) -> None:
         """Resolve still-queued submissions of a dying mailbox."""
         while not mailbox.queue.empty():
-            _, _, future = mailbox.queue.get_nowait()
+            future = mailbox.queue.get_nowait().future
             if not future.done():
                 future.set_exception(
                     UnknownRunError(
                         f"run {run_id!r} closed before its event was applied"
                     )
                 )
+        mailbox.idle.set()
 
     async def release(self, run_id: str) -> None:
         """Drop one run's mailbox (used when the run is closed)."""

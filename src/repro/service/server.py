@@ -7,7 +7,7 @@ method speaking the JSON-lines protocol of
 an :mod:`asyncio` TCP socket, one protocol line per request.
 
 Requests on one connection are handled strictly in order, so a client's
-submissions to a run are FIFO end to end: connection order = mailbox
+submissions to a run are FIFO end to end: connection order = broker
 order = application order.  Concurrency across runs comes from
 concurrent connections (and from the broker's per-run workers, which
 let one run back off on a transient fault while others keep applying).
@@ -199,7 +199,10 @@ class WorkflowService:
         outcome = await self.broker.submit(
             request["run"], event, expected_seq=request.get("seq")
         )
-        hosted = await self.registry.get(request["run"])
+        version = outcome.version
+        if version is None:  # not applied now: report the current version
+            hosted = await self.registry.get(request["run"])
+            version = hosted.view_version(event.peer)
         response = ok_response(
             request_id,
             run=outcome.run_id,
@@ -207,11 +210,7 @@ class WorkflowService:
             seq=outcome.seq,
             attempts=outcome.attempts,
             recovered=outcome.recovered,
-            version=(
-                outcome.version
-                if outcome.version is not None
-                else hosted.view_version(event.peer)
-            ),
+            version=version,
         )
         if outcome.deduped:
             response["deduped"] = True

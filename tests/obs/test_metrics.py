@@ -74,6 +74,24 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family.labels(peer="sue")
 
+    def test_label_mismatch_rejected_once_children_exist(self):
+        """The lookup of an existing child still checks the label set:
+        a wrong name, a missing one or an extra one raises."""
+        registry = MetricsRegistry()
+        family = registry.counter(
+            "requests_total", "reqs", labelnames=("op", "outcome")
+        )
+        family.labels(op="submit", outcome="ok").inc()
+        for wrong in (
+            {"op": "submit", "status": "ok"},
+            {"op": "submit"},
+            {"op": "submit", "outcome": "ok", "peer": "sue"},
+        ):
+            with pytest.raises(ValueError):
+                family.labels(**wrong)
+        assert family.labels(outcome="ok", op="submit").value == 1
+        assert list(family.children()) == [("submit", "ok")]
+
     def test_unlabelled_family_forwards_operations(self):
         registry = MetricsRegistry()
         counter = registry.counter("events_total", "events")
