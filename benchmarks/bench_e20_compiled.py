@@ -45,7 +45,7 @@ def _drive(batch_size=None, clients=None):
 
     async def main():
         kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        service = WorkflowService(churn_program(), cache_views=True, **kwargs)
+        service = WorkflowService(churn_program(), **kwargs)
         server = ServiceServer(service, port=0)
         await server.start()
         try:

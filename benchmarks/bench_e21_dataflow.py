@@ -31,6 +31,15 @@ across the size sweep, the measured form of "|delta|, not |instance|".
 A stale rule is re-evaluated from its maintained view, so its share of
 the incremental cost does grow with the valuations it returns.
 
+A second table (E21m) prices the memory a hosted run keeps for its
+derived state.  Over a 600-event stream of the cicd and procurement
+families, tracemalloc counts what the run holds beyond its global
+instance (the event log, the provenance log, the materialized views
+and the index's cached valuations) at three points: after applying the
+stream with nobody reading, after ``applicable`` for every acting peer
+and ``view`` for the family's observer, and after ``view`` for every
+peer.  The instance alone is the engine replaying the same stream.
+
 ``BENCH_E21_SCALE=smoke`` shrinks the sizes for CI and keeps only a
 no-regression sanity bar.  The full run archives its measurements, with
 the machine's ``cpu_count``, in ``BENCH_E21.json`` at the repo root
@@ -43,20 +52,25 @@ import gc
 import json
 import os
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 from repro.analysis import print_table
 from repro.dataflow import DeltaGraph
-from repro.workflow import RunGenerator, parse_program
-from repro.workflow.engine import apply_event_with_delta
+from repro.service.registry import HostedRun
+from repro.workflow import Instance, RunGenerator, parse_program
+from repro.workflow.engine import apply_event_with_delta, apply_events
 from repro.workflow.eventindex import ApplicableEventIndex
+from repro.workloads import get_family
 
 SMOKE = os.environ.get("BENCH_E21_SCALE", "").strip().lower() == "smoke"
 SIZES = (64, 256) if SMOKE else (128, 512, 2048)
 TAIL = 8 if SMOKE else 16  # measured transitions per size
 ATTEMPTS = 1 if SMOKE else 5  # best-of-N timing passes
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_E21.json"
+MEMORY_FAMILIES = ("cicd", "procurement")
+MEMORY_EVENTS = 120 if SMOKE else 600
 
 
 def growth_program():
@@ -113,7 +127,7 @@ def _primed(program, prefix):
     graph = DeltaGraph(program.schema, prefix)
     for peer in program.schema.peers:
         graph.snapshot(peer)
-    index = ApplicableEventIndex(program, prefix)
+    index = ApplicableEventIndex(program, prefix, graph=graph)
     for i in range(len(index.rules)):
         index.body_valuations(i)
     return graph, index
@@ -122,7 +136,7 @@ def _primed(program, prefix):
 def _incremental_pass(graph, index, tail):
     rules = range(len(index.rules))
     for delta, successor in tail:
-        index.advance(graph.push(delta), successor)
+        index.advance(graph.push(delta, successor), successor)
         for i in rules:
             index.body_valuations(i)
 
@@ -147,6 +161,64 @@ def _assert_identity(program, prefix, tail):
     for i, rule in enumerate(index.rules):
         expected = rule.body.valuations(schema.view_instance(final, rule.peer))
         assert _multiset(index.body_valuations(i)) == _multiset(expected)
+
+
+def _hosted_memory_kib(name):
+    """KiB one hosted run keeps beyond its instance, at three read points."""
+    family = get_family(name)
+    program = family.program()
+    events = family.events(seed=22, steps=MEMORY_EVENTS, program=program)
+    initial = Instance.empty(program.schema.schema)
+    acting = list(dict.fromkeys(rule.peer for rule in program.rules))
+
+    def host():
+        hosted = HostedRun("e21m", program, initial)
+        for start in range(0, len(events), 64):
+            hosted.apply_batch(events[start : start + 64])
+        return hosted
+
+    def read(hosted):
+        for peer in acting:
+            hosted.applicable(peer)
+        hosted.view_instance(family.observer)
+        first = _traced_kib()
+        for peer in program.schema.peers:
+            hosted.view_instance(peer)
+        return first, _traced_kib()
+
+    read(host())  # warm-up: plans compiled and labelled untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        final = apply_events(program.schema, initial, events)[-1][0]
+        instance = _traced_kib()
+        del final
+        base = _traced_kib()
+        hosted = host()
+        unread = _traced_kib() - base
+        first, every = read(hosted)
+    finally:
+        tracemalloc.stop()
+    return {
+        "family": name,
+        "events": len(events),
+        "instance_kib": round(instance, 1),
+        "unread_kib": round(unread - instance, 1),
+        "acting_and_observer_kib": round(first - base - instance, 1),
+        "every_view_kib": round(every - base - instance, 1),
+    }
+
+
+def _traced_kib():
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] / 1024
+
+
+def _archive(**fields):
+    """Merge *fields* into the committed baseline (full runs only)."""
+    data = json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
+    data.update(experiment="E21", cpu_count=os.cpu_count(), **fields)
+    BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def test_e21_dataflow_scaling(benchmark):
@@ -232,17 +304,40 @@ def test_e21_dataflow_scaling(benchmark):
             f"the sweep vs {scratch_growth:.1f}x from scratch — it is not "
             f"scaling with |delta|"
         )
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    "experiment": "E21",
-                    "cpu_count": os.cpu_count(),
-                    "sizes": json_rows,
-                    "scratch_growth": round(scratch_growth, 2),
-                    "incremental_growth": round(incremental_growth, 2),
-                },
-                indent=2,
-            )
-            + "\n"
+        _archive(
+            sizes=json_rows,
+            scratch_growth=round(scratch_growth, 2),
+            incremental_growth=round(incremental_growth, 2),
         )
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_e21_memory_table(benchmark):
+    rows = [_hosted_memory_kib(name) for name in MEMORY_FAMILIES]
+    print_table(
+        f"E21m: KiB a hosted run keeps beyond its instance "
+        f"({MEMORY_EVENTS}-event streams, tracemalloc)",
+        [
+            "family",
+            "instance",
+            "unread",
+            "acting applicable + observer view",
+            "every view",
+        ],
+        [
+            [
+                row["family"],
+                row["instance_kib"],
+                row["unread_kib"],
+                row["acting_and_observer_kib"],
+                row["every_view_kib"],
+            ]
+            for row in rows
+        ],
+    )
+    for row in rows:
+        # Reads only ever add derived state.
+        assert row["unread_kib"] <= row["acting_and_observer_kib"] <= row["every_view_kib"]
+    if not SMOKE:
+        _archive(memory=rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

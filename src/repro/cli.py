@@ -432,7 +432,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         journal_dir=journal_dir,
         queue_capacity=args.queue_capacity,
-        cache_views=not args.no_cache_views,
         snapshot_every=args.snapshot_every,
         fault_plan=_fault_plan(args),
         storage=args.storage,
@@ -731,9 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "per-event acks and journals are unchanged)")
     p_serve.add_argument("--snapshot-every", type=int, default=10,
                          help="journal snapshot period (events)")
-    p_serve.add_argument("--no-cache-views", action="store_true",
-                         help="recompute peer views from scratch per read "
-                              "instead of maintaining them incrementally")
     p_serve.add_argument("--fault-seed", type=int, default=0,
                          help="fault-injection seed")
     p_serve.add_argument("--fault-transient", type=float, default=0.0,

@@ -10,23 +10,30 @@ more.  :class:`DeltaGraph` performs the observation pass **once** per
 transition — every touched key through every peer's view — and hands
 the resulting :class:`DeltaEffect` to all consumers:
 
-* subscribers registered with :meth:`DeltaGraph.subscribe` (the service
-  view caches, the provenance recorder);
+* subscribers registered with :meth:`DeltaGraph.subscribe` (the
+  service's provenance recorder);
 * the graph's own lazily-materialized per-peer view instances
   (:meth:`snapshot`), patched copy-on-write via
-  :meth:`~repro.workflow.instance.Instance.replace_tuples`.
+  :meth:`~repro.workflow.instance.Instance.replace_tuples` — the only
+  materialized views a run keeps: the service's view reads and the
+  applicable-event index both read them.
+
+The graph derives no global state of its own: each push is handed the
+engine's successor instance, which becomes :attr:`DeltaGraph.instance`.
 
 Rule bodies are not maintained here: the applicable-event index
 (:class:`~repro.workflow.eventindex.ApplicableEventIndex`) consumes each
 effect, invalidates the rules whose views changed and re-runs their
-compiled closures — the system's one incremental rule-maintenance path.
-Nor are explanations: a hosted run advances its explainers itself, with
-the engine's own transition delta, after the push.
+compiled closures over :meth:`snapshot` — the system's one incremental
+rule-maintenance path.  Nor are explanations: a hosted run advances its
+explainers itself, with the engine's own transition delta, after the
+push.
 
 Per transition the cost is O(|delta| · #peers) plus O(|delta|) per
-consumer — never O(|instance|).  The differential suites in
-``tests/dataflow/test_graph.py`` hold every maintained artifact
-bit-identical to from-scratch recomputation after each event.
+consumer and per materialized view — never O(|instance|).  The
+differential suites in ``tests/dataflow/test_graph.py`` hold every
+maintained artifact bit-identical to from-scratch recomputation after
+each event.
 """
 
 from __future__ import annotations
@@ -100,12 +107,6 @@ class DeltaEffect:
 
     # -- the per-peer observations -------------------------------------
 
-    def observed_for(self, peer: str) -> Optional[Dict[str, Dict[object, PyTuple]]]:
-        """*peer*'s observed changes, or None when the graph does not
-        track the peer (consumers then fall back to observing the raw
-        delta themselves)."""
-        return self.observed.get(peer)
-
     def changed_views(self, peer: str) -> FrozenSet[str]:
         """The view names whose content changed for *peer*."""
         return self.changed.get(peer, frozenset())
@@ -122,10 +123,10 @@ class DeltaGraph:
 
     Construct with the run's collaborative schema and its current global
     instance; thereafter feed every transition's
-    :class:`~repro.dataflow.delta.Delta` through :meth:`push`.  The
-    graph maintains the global instance and any materialized per-peer
-    view instances in O(|delta|) per push, and notifies subscribers with
-    the fused :class:`DeltaEffect`.
+    :class:`~repro.dataflow.delta.Delta` and successor instance through
+    :meth:`push`.  The graph patches any materialized per-peer view
+    instances in O(|delta|) per push and notifies subscribers with the
+    fused :class:`DeltaEffect`.
     """
 
     __slots__ = (
@@ -148,7 +149,7 @@ class DeltaGraph:
         self.peers: PyTuple[str, ...] = (
             tuple(peers) if peers is not None else tuple(schema.peers)
         )
-        #: The maintained global instance (updated per push).
+        #: The current global instance: the successor of the last push.
         self.instance = instance
         self.pushes = 0
         self._subscribers: "Dict[str, Callable[[DeltaEffect], object]]" = {}
@@ -169,8 +170,8 @@ class DeltaGraph:
         """Register *subscriber* to receive every pushed effect.
 
         Subscribers are called synchronously, in subscription order,
-        after the graph's own state (instance, views) has advanced.  Returns the subscription name for
-        :meth:`unsubscribe`.
+        after the graph's own state (instance, views) has advanced.
+        Returns the subscription name for :meth:`unsubscribe`.
         """
         if name is None:
             self._serial += 1
@@ -186,35 +187,32 @@ class DeltaGraph:
     # Pushing deltas
     # ------------------------------------------------------------------
 
-    def push(self, delta: Delta, **context: object) -> DeltaEffect:
+    def push(self, delta: Delta, successor: Instance, **context: object) -> DeltaEffect:
         """Advance every derived artifact past one transition.
 
-        Computes the fused observation pass, patches the maintained
-        global instance and any materialized views, then notifies
-        subscribers.  Keyword arguments become
-        ``effect.context`` — the service passes ``seq``, ``event`` and
-        ``span_id`` through to its provenance subscriber this way.
+        *delta* is the transition from :attr:`instance` to *successor*
+        (the engine returns both).  Computes the fused observation pass,
+        adopts *successor* as the global instance, patches the
+        materialized views whose content changed, then notifies
+        subscribers.  Keyword arguments become ``effect.context`` — the
+        service passes ``seq``, ``event`` and ``span_id`` through to its
+        provenance subscriber this way.
         """
         started = perf_counter_ns()
         effect = self._observe(delta, context)
-        changes = delta.changes
-        instance = self.instance
-        for relation, keys in changes.items():
-            instance = instance.replace_tuples(
-                relation, {key: after for key, (_, after) in keys.items()}
-            )
-        self.instance = instance
-        for peer in self._views:
-            observed = effect.observed.get(peer)
-            if not observed:
+        self.instance = successor
+        views = self._views
+        for peer, view_instance in views.items():
+            changed = effect.changed.get(peer)
+            if not changed:
                 continue
-            view_instance = self._views[peer]
-            for view_name, keys in observed.items():
+            observed = effect.observed[peer]
+            for view_name in changed:
                 view_instance = view_instance.replace_tuples(
                     view_name,
-                    {key: after for key, (_, after) in keys.items()},
+                    {key: after for key, (_, after) in observed[view_name].items()},
                 )
-            self._views[peer] = view_instance
+            views[peer] = view_instance
         for subscriber in list(self._subscribers.values()):
             subscriber(effect)
         self.pushes += 1
@@ -270,24 +268,16 @@ class DeltaGraph:
         return view_instance
 
     # ------------------------------------------------------------------
-    # Delta-less transitions
+    # Branching
     # ------------------------------------------------------------------
 
-    def rebuild(self, instance: Instance) -> None:
-        """Reset to *instance* after a delta-less state change (recovery).
+    def fork(self) -> "DeltaGraph":
+        """A subscriber-less copy at this graph's state.
 
-        Materialized views are recomputed lazily on next read — O(|I|),
-        the unavoidable cost when no delta exists.
-        """
-        self.instance = instance
-        self._views.clear()
-
-    def advanced(self, delta: Delta) -> "DeltaGraph":
-        """A derived graph past *delta*; this one is untouched.
-
-        For branching searches: the clone shares the (immutable) global
-        and view instances copy-on-write.  Subscribers are *not* carried
-        over — they hold mutable state owned by this graph's consumers.
+        For branching searches: the copy shares the (immutable) global
+        and view instances copy-on-write, so pushing to one leaves the
+        other untouched.  Subscribers are *not* carried over — they hold
+        mutable state owned by this graph's consumers.
         """
         clone = object.__new__(type(self))
         clone.schema = self.schema
@@ -297,7 +287,12 @@ class DeltaGraph:
         clone._subscribers = {}
         clone._views = dict(self._views)
         clone._serial = 0
-        clone.push(delta)
+        return clone
+
+    def advanced(self, delta: Delta, successor: Instance) -> "DeltaGraph":
+        """A :meth:`fork` pushed past *delta*; this graph is untouched."""
+        clone = self.fork()
+        clone.push(delta, successor)
         return clone
 
     def stats(self) -> Dict[str, object]:

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` (the module-level :data:`METRICS`) holds
 every metric family the system produces — engine throughput, search
-effort, broker admission verdicts, view-cache hit ratios — and renders
+effort, broker admission verdicts, view reads — and renders
 them in the Prometheus text exposition format (version 0.0.4) for the
 service's ``metrics`` protocol op and the CLI ``--metrics`` dump.
 

@@ -13,10 +13,10 @@ to the event's delta rather than to the instance:
   queues, backpressure and budget-aware admission, plus the
   supervisor's retry/quarantine/crash-recovery semantics inline in the
   serving path;
-* :mod:`repro.service.viewcache` — materialized peer views maintained
-  incrementally from each transition's
-  :class:`~repro.dataflow.delta.Delta`, subscribed to the run's
-  :class:`~repro.dataflow.graph.DeltaGraph`;
+* :mod:`repro.service.viewcache` — the read handle for a peer's view,
+  which the run's :class:`~repro.dataflow.graph.DeltaGraph`
+  materializes once and patches from each transition's
+  :class:`~repro.dataflow.delta.Delta`;
 * :mod:`repro.service.protocol` / :mod:`repro.service.server` — the
   JSON-lines TCP protocol (open / submit / view / explain / stats) and
   its asyncio front end;
@@ -37,7 +37,7 @@ from .errors import (
 from .loadgen import ClientStats, LoadReport, RunOutcome, ServiceClient, run_loadgen
 from .registry import HostedRun, ShardedRunRegistry
 from .server import ServiceServer, WorkflowService
-from .viewcache import CachedPeerView, ViewCacheSet
+from .viewcache import CachedPeerView
 
 __all__ = [
     "AdmissionError",
@@ -55,7 +55,6 @@ __all__ = [
     "ShardedRunRegistry",
     "SubmitOutcome",
     "UnknownRunError",
-    "ViewCacheSet",
     "WorkflowService",
     "run_loadgen",
 ]

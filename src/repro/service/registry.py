@@ -2,7 +2,8 @@
 
 The registry is the service's ownership map: every hosted run — one
 live instance of the collaborative workflow model, with its journal,
-its materialized peer views and its lazily-wired explainers — lives in
+its dataflow graph (which owns the materialized peer views) and its
+lazily-wired explainers — lives in
 exactly one of N shards, selected by a stable hash of the run id.
 Shards serialize their structural mutations (open/close/lookup) behind
 per-shard :class:`asyncio.Lock`\\ s so thousands of runs can be hosted
@@ -24,7 +25,7 @@ disk-fault tolerance (see ``docs/STORAGE.md``).
 Because every hosted run has a record history, the registry can also
 bound its resident set: with ``max_resident=N``, the least-recently
 used runs beyond N are *evicted* — their RAM-heavy live state (the
-instance, the view caches, the explainers) dropped after a final
+instance, the materialized views, the explainers) dropped after a final
 snapshot — and transparently *rehydrated* from their records on next
 access.  Evicted runs stay addressable: ``get``/``close``/``submit``
 on them work unchanged, just with a one-time O(events since last
@@ -55,7 +56,6 @@ from ..storage.backend import (
     StorageBackend,
     open_backend,
 )
-from ..dataflow.delta import Delta
 from ..dataflow.graph import DeltaEffect, DeltaGraph
 from ..workflow.engine import apply_event_with_delta, apply_events
 from ..workflow.errors import EventError
@@ -64,17 +64,15 @@ from ..workflow.events import Event
 from ..workflow.instance import Instance
 from ..workflow.program import WorkflowProgram
 from .errors import DuplicateRunError, ServiceError, UnknownRunError
-from .viewcache import ViewCacheSet
+from .viewcache import CachedPeerView
 
 __all__ = ["HostedRun", "ShardedRunRegistry"]
 
 _VIEW_READS = METRICS.counter(
     "repro_registry_view_reads_total",
-    "Peer-view reads served, by source (cached / recomputed)",
+    "Peer-view reads served from the run's materialized views",
     labelnames=("source",),
-)
-_VIEW_READS_CACHED = _VIEW_READS.labels(source="cached")
-_VIEW_READS_RECOMPUTED = _VIEW_READS.labels(source="recomputed")
+).labels(source="cached")
 _RECOVERIES = METRICS.counter(
     "repro_registry_recoveries_total",
     "Runs recovered by replaying their journal",
@@ -115,9 +113,10 @@ class HostedRun:
     Holds the current global instance, the applied event log (events
     determine runs, so this is enough to rebuild anything), the run's
     journal writer, the per-run :class:`~repro.dataflow.graph.DeltaGraph`
-    that fans each transition's delta out to every derived artifact —
-    the delta-maintained view caches and the provenance recorder are its
-    subscribers, the applicable-event index consumes its effects — and
+    that owns the run's derived state — it adopts each transition's
+    successor as its instance, keeps at most one materialized view per
+    peer (read by both ``view`` and the applicable-event index), and
+    fans each delta out to the provenance recorder — and
     one :class:`~repro.core.incremental.IncrementalExplainer` per peer
     that has asked for explanations, advanced in lockstep with the run
     by the run's own transitions so explanation queries never replay
@@ -133,7 +132,6 @@ class HostedRun:
         events: Optional[List[Event]] = None,
         journal: Union[JournalWriter, RecordJournal, None] = None,
         journal_file: Optional[Path] = None,
-        cache_views: bool = True,
     ) -> None:
         self.run_id = run_id
         self.program = program
@@ -142,14 +140,10 @@ class HostedRun:
         self.events: List[Event] = list(events or [])
         self.journal = journal
         self.journal_file = journal_file
-        self.caches: Optional[ViewCacheSet] = (
-            ViewCacheSet(program.schema, self.instance) if cache_views else None
-        )
         #: The run's dataflow graph: one fused observation pass per
-        #: event, fanned out to every subscriber.
+        #: event, fanned out to every subscriber; its instance is always
+        #: this run's instance.
         self.dataflow = DeltaGraph(program.schema, self.instance)
-        if self.caches is not None:
-            self.dataflow.subscribe(self.caches.apply_delta, name="viewcache")
         self.dataflow.subscribe(self._record_provenance, name="provenance")
         self._explainers: Dict[str, IncrementalExplainer] = {}
         self._event_index: Optional[ApplicableEventIndex] = None
@@ -183,8 +177,8 @@ class HostedRun:
         Reads the application context (``seq``, ``event``, ``span_id``)
         off the effect; pushes without an event context (none today)
         record nothing.  The changed peers come from the graph's fused
-        observation pass, so recording is exact whether or not the run
-        materializes view caches.
+        observation pass, so recording is exact whether or not any view
+        has been materialized.
         """
         event = effect.context.get("event")
         if event is None:
@@ -206,7 +200,7 @@ class HostedRun:
         Returns ``(seq, effect)`` where *seq* is the event's position in
         the run and *effect* the :class:`~repro.dataflow.graph.DeltaEffect`
         of the push (it exposes the full delta surface).  The push
-        refreshes every subscriber — view caches, provenance — in one
+        patches the materialized views and records provenance in one
         O(|delta|) pass; the applicable-event index and the explainers
         advance right after.  Raises the engine's :class:`EventError`/
         :class:`ChaseFailure` unchanged when the event does not apply —
@@ -224,7 +218,7 @@ class HostedRun:
         self.instance = result
         self.events.append(event)
         effect = self.dataflow.push(
-            delta, seq=seq, event=event, span_id=current_span_id()
+            delta, result, seq=seq, event=event, span_id=current_span_id()
         )
         if self._event_index is not None:
             self._event_index.advance(effect, result)
@@ -244,7 +238,7 @@ class HostedRun:
         Observable-state-equivalent to folding :meth:`apply`: the
         journal receives the same per-event records and cadence
         snapshots, each event's delta is pushed through the dataflow
-        graph (so cache versions and provenance advance identically),
+        graph (so views and provenance advance identically),
         and the same citations are recorded.  What the batch amortizes
         is the per-event tracing span
         (:func:`~repro.workflow.engine.apply_events`) and the
@@ -254,7 +248,7 @@ class HostedRun:
         Failure semantics match the sequential fold: on an
         :class:`EventError` (bad event) or a journal
         :class:`~repro.runtime.faults.DiskFault`, everything *before*
-        the failing event is committed — journaled, cached, recorded —
+        the failing event is committed — journaled, pushed, recorded —
         and the error is re-raised, leaving the failing event and its
         successors unapplied and unacknowledged.
         """
@@ -282,7 +276,7 @@ class HostedRun:
                 self.instance = result
                 self.events.append(event)
                 effect = self.dataflow.push(
-                    delta, seq=seq, event=event, span_id=span_id
+                    delta, result, seq=seq, event=event, span_id=span_id
                 )
                 for explainer in self._explainers.values():
                     explainer.advance(event, delta, result)
@@ -323,7 +317,7 @@ class HostedRun:
                 instance, delta = apply_event_with_delta(
                     self.program.schema, instance, event, forbidden_fresh=None
                 )
-                effect = graph.push(delta)
+                effect = graph.push(delta, instance)
                 visible_to = set(effect.changed_peers)
                 visible_to.add(event.peer)
                 log.record(seq, event.rule.name, event.peer, effect, visible_to)
@@ -347,28 +341,35 @@ class HostedRun:
     # ------------------------------------------------------------------
 
     def view_instance(self, peer: str) -> Instance:
-        """``I@p`` of the current instance — O(|delta|)-fresh when cached."""
-        if self.caches is not None:
-            _VIEW_READS_CACHED.inc()
-            return self.caches.peer(peer).instance()
-        _VIEW_READS_RECOMPUTED.inc()
-        return self.program.schema.view_instance(self.instance, peer)
+        """``I@p`` of the current instance, read from the run's graph.
+
+        The first read of a peer's view materializes it (O(|I|)); every
+        applied event thereafter patches it in O(|delta|).
+        """
+        _VIEW_READS.inc()
+        return CachedPeerView(self.dataflow, peer).instance()
 
     def view_version(self, peer: str) -> int:
-        if self.caches is not None:
-            return self.caches.peer(peer).version
-        return len(self.events)
+        """Every peer's view version: one more than the events applied.
+
+        Read-your-writes clients key on versions never going backwards;
+        a count of applied events survives eviction, rehydration and
+        crash recovery unchanged.
+        """
+        return self.applied + 1
 
     def event_index(self) -> ApplicableEventIndex:
         """The run's applicable-event index, created (and kept) lazily.
 
-        The first call pays one full per-peer view computation; every
-        applied event thereafter advances the index in O(|delta|), so
-        repeated ``applicable`` queries re-evaluate only the rules the
-        traffic actually touches.
+        The index reads the acting peers' views from the run's graph
+        (materializing each on its first read); every applied event
+        thereafter advances it in O(|delta|), so repeated ``applicable``
+        queries re-evaluate only the rules the traffic actually touches.
         """
         if self._event_index is None:
-            self._event_index = ApplicableEventIndex(self.program, self.instance)
+            self._event_index = ApplicableEventIndex(
+                self.program, self.instance, graph=self.dataflow
+            )
         return self._event_index
 
     def applicable(self, peer: Optional[str] = None) -> List[Event]:
@@ -399,7 +400,9 @@ class HostedRun:
             "recoveries": self.recoveries,
             "instance_tuples": self.instance.size(),
             "explainers": sorted(self._explainers),
-            "view_versions": dict(self.caches.versions()) if self.caches else {},
+            "view_versions": {
+                peer: self.view_version(peer) for peer in self.program.schema.peers
+            },
             "dataflow": self.dataflow.stats(),
         }
         if self.recovery_warnings:
@@ -432,7 +435,6 @@ class ShardedRunRegistry:
         shards: int = 8,
         journal_dir: Optional[Path] = None,
         snapshot_every: Optional[int] = 10,
-        cache_views: bool = True,
         storage: Union[str, StorageBackend, None] = None,
         max_resident: Optional[int] = None,
         compact_every: int = 4,
@@ -459,7 +461,6 @@ class ShardedRunRegistry:
             Path(backend.root) if isinstance(backend, FileBackend) else None
         )
         self.snapshot_every = snapshot_every
-        self.cache_views = cache_views
         self.max_resident = max_resident
         self.compact_every = compact_every
         self._shards: List[_Shard] = [_Shard() for _ in range(shards)]
@@ -559,17 +560,10 @@ class ShardedRunRegistry:
                 events=resumed.events,
                 journal=journal,
                 journal_file=store.path,
-                cache_views=self.cache_views,
             )
             hosted.recoveries = 1
             hosted.quarantined = len(resumed.quarantined)
             hosted.recovery_warnings = list(warnings)
-            if hosted.caches is not None:
-                # The rebuilt caches saw one rebuild; a resident run
-                # would have seen the initial rebuild plus one delta per
-                # event.  Fast-forward so versions never run backwards
-                # across eviction/rehydration.
-                hosted.caches.fast_forward(len(resumed.events) + 1)
             return hosted
         store = backend.store(run_id)
         journal = RecordJournal(
@@ -593,7 +587,6 @@ class ShardedRunRegistry:
             start,
             journal=journal,
             journal_file=store.path,
-            cache_views=self.cache_views,
         )
 
     async def get(self, run_id: str) -> HostedRun:
@@ -647,7 +640,6 @@ class ShardedRunRegistry:
                     resumed.initial,
                     instance=resumed.instance,
                     events=resumed.events,
-                    cache_views=False,
                 )
                 hosted.submitted = evicted.submitted
                 hosted.quarantined = evicted.quarantined
@@ -672,7 +664,7 @@ class ShardedRunRegistry:
     async def crash_and_recover(self, run_id: str) -> HostedRun:
         """Simulate a process death of one run and recover it from storage.
 
-        The in-memory :class:`HostedRun` — instance, caches, explainers
+        The in-memory :class:`HostedRun` — instance, views, explainers
         — is abandoned; the records (appended *before* each event was
         acknowledged) survive, and the run is re-materialized from its
         latest checkpoint.  On a non-durable backend the state is
@@ -858,6 +850,5 @@ class ShardedRunRegistry:
             "rehydrations": self.rehydrations,
             "max_resident": self.max_resident,
             "journal_dir": str(self.journal_dir) if self.journal_dir else None,
-            "cache_views": self.cache_views,
             "storage": self.storage.stats(),
         }

@@ -1,7 +1,7 @@
 """The multi-run workflow service and its TCP front end.
 
-:class:`WorkflowService` composes the sharded registry, the event
-broker and the view caches behind one ``handle(request) -> response``
+:class:`WorkflowService` composes the sharded registry and the event
+broker behind one ``handle(request) -> response``
 method speaking the JSON-lines protocol of
 :mod:`repro.service.protocol`; :class:`ServiceServer` exposes it over
 an :mod:`asyncio` TCP socket, one protocol line per request.
@@ -72,7 +72,6 @@ class WorkflowService:
         shards: int = 8,
         journal_dir: Optional[Path] = None,
         queue_capacity: int = 64,
-        cache_views: bool = True,
         snapshot_every: Optional[int] = 10,
         retry: Optional[RetryPolicy] = None,
         budget: Optional[Budget] = None,
@@ -125,7 +124,6 @@ class WorkflowService:
             shards=shards,
             journal_dir=journal_dir,
             snapshot_every=snapshot_every,
-            cache_views=cache_views,
             storage=storage,
             max_resident=max_resident,
             compact_every=compact_every,
@@ -262,7 +260,7 @@ class WorkflowService:
             version=hosted.view_version(peer),
             applied=hosted.applied,
             instance=instance_to_dict(hosted.view_instance(peer)),
-            cached=hosted.caches is not None,
+            cached=True,
         )
 
     async def _op_explain(self, request: Dict[str, Any], request_id: Any) -> Dict[str, Any]:

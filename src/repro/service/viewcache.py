@@ -1,256 +1,42 @@
-"""Incrementally-maintained materialized peer views.
+"""The read handle for one peer's materialized view of a hosted run.
 
 The paper's peers interact only through their views ``I@p(R@p)``
-(Section 2), so a serving layer answers every read and every visibility
-question against a view instance.  Recomputing ``I@p`` from the global
-instance on each event costs O(|I|) per peer per event; this module
-keeps each peer's view *materialized* and refreshes it from the
-:class:`~repro.dataflow.delta.Delta` of the transition instead —
-re-observing only the touched keys through the view's selection and
-projection, in the DBSP spirit of processing deltas rather than
-collections.  A chase-induced merge is still just a touched key (the
-chase rewrites the merged tuple in place), so the delta path is exact;
-a full recompute (:meth:`CachedPeerView.rebuild`) remains as the
-fallback for delta-less state changes such as crash recovery.
+(Section 2), so a serving layer answers every read against a view
+instance.  A hosted run keeps exactly one materialized copy of each
+peer's view: its :class:`~repro.dataflow.graph.DeltaGraph` materializes
+``I@p`` on the first read (O(|I|)) and patches it copy-on-write from
+every later transition's delta (O(|delta|)), and the applicable-event
+index evaluates the peer's rule bodies over that same instance.
 
-When the run routes events through a
-:class:`~repro.dataflow.graph.DeltaGraph` (the hosted registry does),
-the caches subscribe via :meth:`ViewCacheSet.apply_effect` and reuse
-the graph's fused observation pass instead of re-observing the keys
-themselves — same versions, same metrics, one observation per
-(key, peer) for the whole process.
-
-Each cache carries a monotonically increasing ``version`` so higher
-layers (the per-(run, peer) explanation wiring, read-your-writes
-clients) can cheaply detect staleness.
+:class:`CachedPeerView` holds no state beyond the graph and the peer:
+it is the service's named entry point for a view read, which
+``HostedRun.view_instance`` goes through.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple as PyTuple
-
-from ..dataflow.delta import Delta
-from ..obs.metrics import METRICS
+from ..dataflow.graph import DeltaGraph
 from ..workflow.instance import Instance
-from ..workflow.schema import Schema
-from ..workflow.tuples import Tuple
-from ..workflow.views import CollaborativeSchema, View
 
-__all__ = ["CachedPeerView", "ViewCacheSet"]
-
-_REFRESHES = METRICS.counter(
-    "repro_viewcache_refreshes_total",
-    "Materialized-view maintenance operations, by kind",
-    labelnames=("kind",),
-)
-_DELTA_REFRESHES = _REFRESHES.labels(kind="delta")
-_REBUILDS = _REFRESHES.labels(kind="rebuild")
+__all__ = ["CachedPeerView"]
 
 
 class CachedPeerView:
-    """The materialized view instance ``I@p`` of one peer, delta-maintained.
+    """``I@p`` of one peer, read from the run's dataflow graph.
 
-    >>> # cache = CachedPeerView(schema, "sue", instance)
-    >>> # instance2, delta = apply_event_with_delta(schema, instance, event)
-    >>> # cache.apply_delta(delta)
-    >>> # cache.instance() == schema.view_instance(instance2, "sue")
+    >>> # CachedPeerView(hosted.dataflow, "sue").instance()
+    >>> # == schema.view_instance(hosted.instance, "sue")
     """
 
-    __slots__ = (
-        "schema",
-        "peer",
-        "version",
-        "_views",
-        "_view_schema",
-        "_data",
-        "_instance",
-        "_delta_refreshes",
-        "_rebuilds",
-    )
+    __slots__ = ("graph", "peer")
 
-    def __init__(self, schema: CollaborativeSchema, peer: str, instance: Instance) -> None:
-        self.schema = schema
+    def __init__(self, graph: DeltaGraph, peer: str) -> None:
+        self.graph = graph
         self.peer = peer
-        self.version = 0
-        #: relation name -> the peer's view of it (one view per relation).
-        self._views: Dict[str, View] = {
-            view.relation.name: view for view in schema.views_of_peer(peer)
-        }
-        self._view_schema: Schema = schema.peer_schema(peer)
-        self._data: Dict[str, Dict[object, Tuple]] = {}
-        self._instance: Optional[Instance] = None
-        self._delta_refreshes = 0
-        self._rebuilds = 0
-        self.rebuild(instance)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def rebuild(self, instance: Instance) -> None:
-        """Full recompute of the materialized view from *instance*.
-
-        Used at construction and after delta-less state changes (crash
-        recovery replaces the whole instance); O(|I|).
-        """
-        data: Dict[str, Dict[object, Tuple]] = {}
-        for name, view in self._views.items():
-            observed: Dict[object, Tuple] = {}
-            for tup in instance.relation(name):
-                seen = view.observe(tup)
-                if seen is not None:
-                    observed[seen.key] = seen
-            data[view.name] = observed
-        self._data = data
-        self._instance = None
-        self._rebuilds += 1
-        _REBUILDS.inc()
-        self.version += 1
-
-    def fast_forward(self, version: int) -> None:
-        """Raise the version floor to *version* (no-op when already past).
-
-        Rehydrating an evicted run rebuilds its caches from scratch,
-        which would reset versions to 1; read-your-writes clients key on
-        versions never going backwards, so the registry fast-forwards
-        the rebuilt caches to where the run's history left them.
-        """
-        self.version = max(self.version, version)
-
-    def apply_delta(self, delta: Delta) -> bool:
-        """Refresh the materialized view from one transition's delta.
-
-        Re-observes only the touched keys: a touched key whose after-
-        tuple passes the view's selection is (re)stored projected on
-        ``att(R@p)``; one that is deleted or selected away is dropped.
-        Returns True when the peer's view actually changed (the version
-        is bumped either way: the cache has *seen* the transition, which
-        is what read-your-writes clients key on).
-        """
-        changed = False
-        for relation, keys in delta.changes.items():
-            view = self._views.get(relation)
-            if view is None:
-                continue  # the peer has no view of this relation
-            observed = self._data[view.name]
-            for key, (_, after) in keys.items():
-                seen = view.observe(after) if after is not None else None
-                if seen is None:
-                    if observed.pop(key, None) is not None:
-                        changed = True
-                else:
-                    if observed.get(key) != seen:
-                        observed[key] = seen
-                        changed = True
-        return self._commit(changed)
-
-    def apply_observed(
-        self,
-        observed_views: Mapping[str, Mapping[object, PyTuple[Optional[Tuple], Optional[Tuple]]]],
-    ) -> bool:
-        """Like :meth:`apply_delta`, from already-observed view keys.
-
-        *observed_views* maps view names to ``key -> (seen_before,
-        seen_after)`` as a :class:`~repro.dataflow.graph.DeltaGraph`'s
-        fused pass computed them for this peer — the cache patches the
-        after-tuples in without re-running selection and projection.
-        Version and metric semantics are identical to
-        :meth:`apply_delta`.
-        """
-        changed = False
-        for view_name, keys in observed_views.items():
-            observed = self._data[view_name]
-            for key, (_, seen) in keys.items():
-                if seen is None:
-                    if observed.pop(key, None) is not None:
-                        changed = True
-                else:
-                    if observed.get(key) != seen:
-                        observed[key] = seen
-                        changed = True
-        return self._commit(changed)
-
-    def _commit(self, changed: bool) -> bool:
-        if changed:
-            self._instance = None
-        self._delta_refreshes += 1
-        _DELTA_REFRESHES.inc()
-        self.version += 1
-        return changed
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
 
     def instance(self) -> Instance:
-        """The materialized view instance ``I@p`` (cached between changes)."""
-        if self._instance is None:
-            self._instance = Instance(self._view_schema, self._data)
-        return self._instance
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "version": self.version,
-            "delta_refreshes": self._delta_refreshes,
-            "rebuilds": self._rebuilds,
-            "tuples": sum(len(tuples) for tuples in self._data.values()),
-        }
+        """The graph's materialized view instance of the peer."""
+        return self.graph.snapshot(self.peer)
 
     def __repr__(self) -> str:
-        return (
-            f"CachedPeerView(peer={self.peer!r}, version={self.version}, "
-            f"tuples={sum(len(t) for t in self._data.values())})"
-        )
-
-
-class ViewCacheSet:
-    """All peers' cached views of one hosted run, maintained together."""
-
-    __slots__ = ("schema", "_caches")
-
-    def __init__(self, schema: CollaborativeSchema, instance: Instance) -> None:
-        self.schema = schema
-        self._caches: Dict[str, CachedPeerView] = {
-            peer: CachedPeerView(schema, peer, instance) for peer in schema.peers
-        }
-
-    def peer(self, peer: str) -> CachedPeerView:
-        return self._caches[peer]
-
-    def apply_delta(self, delta: Delta) -> PyTuple[str, ...]:
-        """Refresh every peer's cache; return the peers whose view changed.
-
-        Accepts a plain :class:`~repro.dataflow.delta.Delta` (each cache
-        re-observes the touched keys) or a
-        :class:`~repro.dataflow.graph.DeltaEffect` (the graph's fused
-        observation pass is reused; this is the subscriber path the
-        hosted registry wires up).
-        """
-        observed_for = getattr(delta, "observed_for", None)
-        if observed_for is not None:
-            changed = []
-            for peer, cache in self._caches.items():
-                observed = observed_for(peer)
-                if observed is None:
-                    if cache.apply_delta(delta):
-                        changed.append(peer)
-                elif cache.apply_observed(observed):
-                    changed.append(peer)
-            return tuple(changed)
-        return tuple(
-            peer for peer, cache in self._caches.items() if cache.apply_delta(delta)
-        )
-
-    def rebuild(self, instance: Instance) -> None:
-        for cache in self._caches.values():
-            cache.rebuild(instance)
-
-    def fast_forward(self, version: int) -> None:
-        for cache in self._caches.values():
-            cache.fast_forward(version)
-
-    def versions(self) -> Mapping[str, int]:
-        return {peer: cache.version for peer, cache in self._caches.items()}
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        return {peer: cache.stats() for peer, cache in self._caches.items()}
+        return f"CachedPeerView(peer={self.peer!r})"

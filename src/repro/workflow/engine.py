@@ -282,7 +282,7 @@ def apply_event_with_delta(
 
     The delta is the :class:`~repro.dataflow.delta.Delta` a
     :class:`~repro.dataflow.graph.DeltaGraph` consumes: callers that
-    maintain derived state (the service view cache, provenance, the
+    maintain derived state (peer views, provenance, the
     applicable-event index) push it once and every subscriber refreshes
     from the touched keys instead of recomputing from the whole
     instance.

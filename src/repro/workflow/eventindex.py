@@ -8,16 +8,15 @@ proportional to the *delta*:
 
 * a **dependency map** relates each view relation to the rules whose
   bodies read it;
-* the acting peers' **view instances are maintained incrementally**
-  from the :class:`~repro.dataflow.delta.Delta` of each applied event
-  (one O(|delta|) patch instead of an O(|I|) view computation); when the
-  caller routes events through a
-  :class:`~repro.dataflow.graph.DeltaGraph` and passes its
-  :class:`~repro.dataflow.graph.DeltaEffect`, the patch reuses the
-  graph's already-observed per-view keys instead of re-observing them;
+* the index keeps **no views of its own**: it reads the peers' view
+  instances from a :class:`~repro.dataflow.graph.DeltaGraph`
+  (:meth:`~repro.dataflow.graph.DeltaGraph.snapshot`) — a hosted run's
+  own graph, whose views the service's reads share, or a private graph
+  over the acting peers in standalone searches;
 * each rule's **body valuations are cached** and invalidated only when
-  the delta actually changed the peer's view of a relation the body
-  reads — rules untouched by the delta are served from cache.
+  the graph's :class:`~repro.dataflow.graph.DeltaEffect` reports that
+  the delta changed the peer's view of a relation the body reads —
+  rules untouched by the delta are served from cache.
 
 Head-only variables are *not* cached: they are minted at
 :meth:`events` time exactly as the from-scratch enumeration does, and
@@ -34,7 +33,8 @@ Two advancement styles cover the two search shapes:
   run generator, the hosted service runs);
 * :meth:`advanced` returns a derived index and leaves this one intact —
   for branching searches (state-space exploration), sharing the cached
-  valuation lists and the persistent view instances with the parent.
+  valuation lists and, through a forked private graph, the persistent
+  view instances with the parent.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..dataflow.delta import Delta
+from ..dataflow.graph import DeltaEffect, DeltaGraph
 from .domain import FreshValueSource
 from .engine import event_applicable
 from .evalstats import EVAL_STATS
@@ -83,25 +84,37 @@ class ApplicableEventIndex:
     >>> # events = list(index.events(fresh_source))
     >>> # successor, delta = apply_event_with_delta(schema, instance, e, None)
     >>> # index.advance(delta, successor)
+
+    Without *graph* the index owns a private
+    :class:`~repro.dataflow.graph.DeltaGraph` over the acting peers and
+    pushes each advanced delta through it.  With *graph* (whose current
+    instance must be *instance*) the graph's owner pushes every
+    transition and hands :meth:`advance` the push's
+    :class:`~repro.dataflow.graph.DeltaEffect`; the index then reads the
+    very view instances the owner's other readers see.
     """
 
     def __init__(
         self,
         program: WorkflowProgram,
         instance: Instance,
-        rules: Optional[Sequence[Rule]] = None,
-        peers: Optional[Iterable[str]] = None,
+        graph: Optional[DeltaGraph] = None,
     ) -> None:
         self.program = program
         self.schema = program.schema
-        self.instance = instance
-        peer_filter = set(peers) if peers is not None else None
-        candidates = rules if rules is not None else program.rules
-        self.rules: PyTuple[Rule, ...] = tuple(
-            rule
-            for rule in candidates
-            if peer_filter is None or rule.peer in peer_filter
-        )
+        self.rules: PyTuple[Rule, ...] = tuple(program.rules)
+        self._owns_graph = graph is None
+        if graph is None:
+            acting = dict.fromkeys(rule.peer for rule in self.rules)
+            graph = DeltaGraph(self.schema, instance, peers=acting)
+            # Materialize every acting peer's view up front: a branch
+            # forked while events() is still enumerating then shares the
+            # views of rules not yet evaluated instead of rebuilding them.
+            for peer in acting:
+                graph.snapshot(peer)
+        elif graph.instance is not instance:
+            raise ValueError("the graph is not at the index's instance")
+        self.graph = graph
         # Per rule: the view-relation names its body reads (the literals
         # of a rule all query the rule's own peer, so view names are the
         # right invalidation granularity — a delta invisible to the peer
@@ -114,12 +127,6 @@ class ApplicableEventIndex:
             )
             for rule in self.rules
         )
-        # Maintained view instances for every acting peer (computed once
-        # here, then patched per delta).
-        self._views: Dict[str, Instance] = {
-            peer: self.schema.view_instance(instance, peer)
-            for peer in {rule.peer for rule in self.rules}
-        }
         # Cached body valuations per rule; None marks a stale entry that
         # the next events() call re-evaluates lazily.  The lists are
         # never mutated once built, so derived indexes share them.
@@ -130,60 +137,28 @@ class ApplicableEventIndex:
         for rule in self.rules:
             planner.label_query(rule.body, f"{rule.name}@{rule.peer}")
 
+    @property
+    def instance(self) -> Instance:
+        """The current global instance (the graph's)."""
+        return self.graph.instance
+
     # ------------------------------------------------------------------
     # Advancement
     # ------------------------------------------------------------------
 
-    def _refresh(self, peer: str, delta: Delta) -> Instance:
-        """*peer*'s maintained view patched past *delta*, in O(|delta|).
-
-        Accepts a plain :class:`~repro.dataflow.delta.Delta` (the
-        touched keys are re-observed through the peer's views) or a
-        :class:`~repro.dataflow.graph.DeltaEffect` whose fused
-        observation pass already computed them (graph-driven callers
-        skip the re-observation).  Either way the patch is identity on a
-        no-op, so ``result is old`` stays the visibility test.
-        """
-        old = self._views[peer]
-        observed_for = getattr(delta, "observed_for", None)
-        if observed_for is not None:
-            observed = observed_for(peer)
-            if observed is not None:
-                result = old
-                for view_name, keys in observed.items():
-                    result = result.replace_tuples(
-                        view_name,
-                        {key: after for key, (_, after) in keys.items()},
-                    )
-                return result
-        return delta.refresh_view(self.schema, peer, old)
-
     def advance(self, delta: Delta, successor: Instance) -> None:
         """Move the index past one applied event, in place.
 
-        *delta* must be the :class:`~repro.dataflow.delta.Delta` of the
+        *delta* is the :class:`~repro.dataflow.delta.Delta` of the
         transition from the index's current instance to *successor* (as
         returned by :func:`~repro.workflow.engine.apply_event_with_delta`)
-        or the :class:`~repro.dataflow.graph.DeltaEffect` of the
-        corresponding graph push.  Cost is O(|delta| · #views + #stale
+        when the index owns its graph, and the
+        :class:`~repro.dataflow.graph.DeltaEffect` of the owner's push of
+        that transition otherwise.  Cost is O(|delta| · #peers + #stale
         rules), independent of |I| and of the rules the delta does not
         touch.
         """
-        EVAL_STATS.event_index_advances += 1
-        self.instance = successor
-        changed: Set[str] = set()
-        for peer in self._views:
-            refreshed = self._refresh(peer, delta)
-            if refreshed is not self._views[peer]:
-                for relation in delta.changes:
-                    view = self.schema.view(relation, peer)
-                    if view is not None:
-                        changed.add(view.name)
-                self._views[peer] = refreshed
-        if changed:
-            for i, body_views in enumerate(self._body_views):
-                if self._valuations[i] is not None and body_views & changed:
-                    self._valuations[i] = None
+        self._advance(((delta, successor),))
 
     def advance_many(
         self, steps: Iterable[PyTuple[Delta, Instance]]
@@ -191,25 +166,23 @@ class ApplicableEventIndex:
         """Move the index past a batch of applied events, in place.
 
         *steps* holds the ``(delta, successor)`` of each transition in
-        application order.  The view instances are patched once per
-        delta (they must be — each patch reads the previous view), but
-        the stale-rule invalidation sweep runs once over the union of
+        application order, each delta as :meth:`advance` takes it.  The
+        stale-rule invalidation sweep runs once over the union of
         changed view names instead of once per event.  Invalidation is
         monotone (entries only go stale), so the resulting cache state
         equals a sequential :meth:`advance` fold exactly.
         """
+        self._advance(steps)
+
+    def _advance(self, steps: Iterable[PyTuple[Delta, Instance]]) -> None:
         changed: Set[str] = set()
         for delta, successor in steps:
             EVAL_STATS.event_index_advances += 1
-            self.instance = successor
-            for peer in self._views:
-                refreshed = self._refresh(peer, delta)
-                if refreshed is not self._views[peer]:
-                    for relation in delta.changes:
-                        view = self.schema.view(relation, peer)
-                        if view is not None:
-                            changed.add(view.name)
-                    self._views[peer] = refreshed
+            effect: DeltaEffect = (
+                self.graph.push(delta, successor) if self._owns_graph else delta
+            )
+            for views in effect.changed.values():
+                changed |= views
         if changed:
             for i, body_views in enumerate(self._body_views):
                 if self._valuations[i] is not None and body_views & changed:
@@ -218,17 +191,19 @@ class ApplicableEventIndex:
     def advanced(self, delta: Delta, successor: Instance) -> "ApplicableEventIndex":
         """A derived index past one applied event; this one is untouched.
 
-        Shares the cached valuation lists and the persistent view
-        instances with the parent — the per-branch cost is the same
-        O(|delta|) patch as :meth:`advance` plus two small dict copies.
+        The derived index owns a fork of this index's graph (sharing its
+        persistent view instances) and shares the cached valuation lists
+        with the parent — the per-branch cost is the same O(|delta|)
+        push as :meth:`advance` plus two small dict copies.  *delta* is
+        the plain transition delta.
         """
         clone = object.__new__(type(self))
         clone.program = self.program
         clone.schema = self.schema
-        clone.instance = self.instance
         clone.rules = self.rules
+        clone.graph = self.graph.fork()
+        clone._owns_graph = True
         clone._body_views = self._body_views
-        clone._views = dict(self._views)
         clone._valuations = list(self._valuations)
         clone.advance(delta, successor)
         return clone
@@ -237,21 +212,13 @@ class ApplicableEventIndex:
     # Enumeration
     # ------------------------------------------------------------------
 
-    def view_of(self, peer: str) -> Instance:
-        """The maintained view instance ``I@p`` (computed if unknown)."""
-        view = self._views.get(peer)
-        if view is None:
-            view = self.schema.view_instance(self.instance, peer)
-            self._views[peer] = view
-        return view
-
     def body_valuations(self, index: int) -> List[Dict]:
         """Rule *index*'s cached body valuations, re-evaluated if stale."""
         valuations = self._valuations[index]
         if valuations is None:
             EVAL_STATS.event_index_rules_reevaluated += 1
             rule = self.rules[index]
-            valuations = list(rule.body.valuations(self.view_of(rule.peer)))
+            valuations = list(rule.body.valuations(self.graph.snapshot(rule.peer)))
             self._valuations[index] = valuations
         else:
             EVAL_STATS.event_index_rules_skipped += 1

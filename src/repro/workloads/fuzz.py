@@ -18,9 +18,9 @@ the stack promises equivalent:
 * ``dataflow`` — pushing each event's delta through a
   :class:`~repro.dataflow.graph.DeltaGraph` (materialized peer views)
   and advancing an
-  :class:`~repro.workflow.eventindex.ApplicableEventIndex` with the
-  resulting effect (every rule body's cached valuations) must equal
-  from-scratch recomputation;
+  :class:`~repro.workflow.eventindex.ApplicableEventIndex` over that
+  graph with the resulting effect (every rule body's cached
+  valuations) must equal from-scratch recomputation;
 * ``recovery`` — journaling the run and recovering it (full
   ``recover_run`` re-execution and the ``fast_recover`` checkpoint
   path) must reproduce the run, its views and its provenance;
@@ -447,8 +447,9 @@ def _valuation_rows(valuations) -> List[str]:
 def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
     """Graph-patched views and index-maintained rule bodies vs from-scratch.
 
-    The applicable-event index advances with each push's
-    :class:`~repro.dataflow.graph.DeltaEffect`, as on the service, and
+    The applicable-event index reads the graph's views and advances with
+    each push's :class:`~repro.dataflow.graph.DeltaEffect`, as on the
+    service, and
     every rule body is brought up to date after every event: a cached
     valuation list the delta should have invalidated survives to the
     final comparison.  At the final instance each peer's answer from the
@@ -460,7 +461,7 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
     graph = DeltaGraph(schema, instance)
     for peer in schema.peers:
         graph.snapshot(peer)
-    index = ApplicableEventIndex(program, instance)
+    index = ApplicableEventIndex(program, instance, graph=graph)
     rules = range(len(index.rules))
     for i in rules:
         index.body_valuations(i)
@@ -468,13 +469,13 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
         instance, delta = apply_event_with_delta(
             schema, instance, event, forbidden_fresh=None, check_body=False
         )
-        index.advance(graph.push(delta), instance)
+        index.advance(graph.push(delta, instance), instance)
         for i in rules:
             index.body_valuations(i)
     if _canonical_views(program, graph.instance) != _canonical_views(
         program, run.final_instance
     ):
-        return PairOutcome("dataflow", False, "maintained global instance diverged")
+        return PairOutcome("dataflow", False, "replayed global instance diverged")
     for peer in schema.peers:
         incremental = graph.snapshot(peer)
         scratch = schema.view_instance(run.final_instance, peer)

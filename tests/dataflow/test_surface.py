@@ -24,11 +24,11 @@ def one_push():
     program = churn_program()
     run = RunGenerator(program, seed=3).random_run(3)
     graph = DeltaGraph(program.schema, run.initial, peers=program.schema.peers)
-    _, delta = apply_event_with_delta(
+    successor, delta = apply_event_with_delta(
         program.schema, run.initial, run.events[0],
         forbidden_fresh=None, check_body=False,
     )
-    effect = graph.push(delta, seq=1)
+    effect = graph.push(delta, successor, seq=1)
     return program, run, delta, graph, effect
 
 
@@ -83,7 +83,7 @@ class TestGraphSurface:
         first = graph.subscribe(lambda e: seen.append(e))
         second = graph.subscribe(lambda e: seen.append(e))
         assert first != second
-        graph.push(Delta(changes={}), seq=2)
+        graph.push(Delta(changes={}), graph.snapshot(), seq=2)
         assert len(seen) == 2
         assert graph.unsubscribe(first)
 

@@ -70,16 +70,6 @@ class TestLoadgen:
         assert report.consistency_violations == 0
         assert report.clean
 
-    def test_uncached_service_serves_identical_views(self):
-        program = churn_program()
-        report = drive(
-            program,
-            dict(cache_views=False),
-            dict(runs=6, events_per_run=10, seed=4, verify=True),
-        )
-        assert report.clean
-        assert report.applied == 60
-
     def test_multi_client_batched_session_verifies(self):
         """N connections + submit_batch chunks: same checks, same clean."""
         program = churn_program()

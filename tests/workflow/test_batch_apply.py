@@ -116,8 +116,8 @@ class TestAdvanceMany:
         many.advance_many(pairs)
 
         assert one.instance == many.instance
-        for peer in program.schema.peers:
-            assert one.view_of(peer) == many.view_of(peer)
+        for peer in one.graph.peers:
+            assert one.graph.snapshot(peer) == many.graph.snapshot(peer)
         from repro.workflow.domain import FreshValueSource
 
         def canonical(event):

@@ -86,16 +86,17 @@ def test_hypothesis_sweep_backends_and_dataflow(seed, steps):
 
 
 def test_dataflow_pair_catches_skipped_rule_invalidation(monkeypatch):
-    """The dataflow pair is not vacuous: an index that patches its views
-    but never invalidates a cached rule body fails it on the corpus."""
+    """The dataflow pair is not vacuous: an index that keeps following
+    its graph but never invalidates a cached rule body fails it on the
+    corpus."""
 
-    def advance_without_invalidation(self, delta, successor):
-        self.instance = successor
-        for peer in self._views:
-            self._views[peer] = self._refresh(peer, delta)
+    def advance_without_invalidation(self, steps):
+        for delta, successor in steps:
+            if self._owns_graph:
+                self.graph.push(delta, successor)
 
     monkeypatch.setattr(
-        ApplicableEventIndex, "advance", advance_without_invalidation
+        ApplicableEventIndex, "_advance", advance_without_invalidation
     )
     failures = [
         outcome.detail
