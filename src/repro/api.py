@@ -146,21 +146,6 @@ from .storage import (
 )
 
 # ----------------------------------------------------------------------
-# Parallel search: the multiprocessing frontier/portfolio engine
-# ----------------------------------------------------------------------
-from .parallel import (
-    WorkerPool,
-    available_workers,
-    default_workers,
-    parallel_check_h_bounded,
-    parallel_explore,
-    parallel_find,
-    parallel_minimum_scenario,
-    parallel_smallest_bound,
-    set_default_workers,
-)
-
-# ----------------------------------------------------------------------
 # The multi-run service and its protocol
 # ----------------------------------------------------------------------
 from .service import (
@@ -315,16 +300,6 @@ __all__ = [
     "SqliteBackend",
     "StorageBackend",
     "open_backend",
-    # parallel search
-    "WorkerPool",
-    "available_workers",
-    "default_workers",
-    "parallel_check_h_bounded",
-    "parallel_explore",
-    "parallel_find",
-    "parallel_minimum_scenario",
-    "parallel_smallest_bound",
-    "set_default_workers",
     # service
     "ERROR_CODES",
     "PROTOCOL_VERSION",

@@ -34,11 +34,6 @@ around the whole command: the worst-case exponential procedures
 terminate with exit code 3 and a one-line diagnostic instead of running
 open-ended.  Any other :class:`~repro.workflow.errors.WorkflowError`
 exits with code 2 and a one-line diagnostic.
-
-The global ``--workers N`` option routes the expensive searches
-(exploration, boundedness checking, scenario search) through the
-parallel engine of :mod:`repro.parallel` with ``N`` worker processes;
-results are identical to the sequential default.
 """
 
 from __future__ import annotations
@@ -575,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-steps", type=int, default=None, metavar="N",
                         help="step budget for the whole command (event "
                              "applications and search nodes)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for the parallel search "
-                             "engine (exploration, boundedness, scenario "
-                             "search); results are identical to workers=1")
     parser.add_argument("--profile-queries", action="store_true",
                         help="after the command, print the per-rule query "
                              "hot-path table (plans, candidates, time) "
@@ -849,14 +840,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None:
-        from .parallel import set_default_workers
-
-        try:
-            set_default_workers(args.workers)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     budget = None
     if args.wall_budget is not None or args.max_steps is not None:
         try:

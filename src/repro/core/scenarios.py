@@ -198,8 +198,6 @@ def minimum_scenario(
     peer: str,
     max_depth: Optional[int] = None,
     budget: Optional[Budget] = None,
-    *,
-    workers: Optional[int] = None,
 ) -> Optional[EventSubsequence]:
     """A minimum-length scenario of *run* at *peer* (exact, exponential).
 
@@ -210,21 +208,7 @@ def minimum_scenario(
     :class:`~repro.workflow.errors.BudgetExceeded` when it trips; for a
     graceful best-so-far answer use
     :func:`repro.runtime.supervisor.anytime_minimum_scenario`.
-
-    *workers* (or the process default from
-    :func:`repro.parallel.set_default_workers`) runs the search as a
-    parallel cap portfolio: the returned scenario has the identical
-    (optimal) size, though among equal-size optima the chosen index set
-    may differ from the sequential search's.
     """
-    from ..parallel.config import resolve_workers
-
-    if resolve_workers(workers) > 1:
-        from ..parallel.scenarios import parallel_minimum_scenario
-
-        return parallel_minimum_scenario(
-            run, peer, max_depth=max_depth, budget=budget, workers=workers
-        )
     best = _ScenarioSearch(run, peer, max_depth=max_depth, budget=budget).search()
     if best is None:
         return None

@@ -97,8 +97,6 @@ def check_h_bounded(
     budget: SearchBudget = SearchBudget(),
     runtime_budget: Optional[Budget] = None,
     anytime: bool = False,
-    *,
-    workers: Optional[int] = None,
 ) -> BoundednessResult:
     """Decide whether *program* is h-bounded for *peer* (Theorem 5.10).
 
@@ -112,21 +110,9 @@ def check_h_bounded(
     is returned with ``exhausted=False, truncated=True`` — a "no
     violation found yet", never a silent proof.
 
-    *workers* (or the process default from
-    :func:`repro.parallel.set_default_workers`) fans the instance
-    enumeration out over a worker pool; the result is identical.
-
     >>> # result = check_h_bounded(program, "sue", h=3)
     >>> # result.bounded, result.witness
     """
-    from ..parallel.config import resolve_workers
-
-    if resolve_workers(workers) > 1:
-        from ..parallel.bounded import parallel_check_h_bounded
-
-        return parallel_check_h_bounded(
-            program, peer, h, budget, runtime_budget, anytime, workers=workers
-        )
     pool = budget.resolve_pool(program, h)
     checked = 0
     exhausted = True
@@ -195,24 +181,13 @@ def smallest_bound(
     max_h: int,
     budget: SearchBudget = SearchBudget(),
     runtime_budget: Optional[Budget] = None,
-    *,
-    workers: Optional[int] = None,
 ) -> Optional[int]:
     """The least ``h ≤ max_h`` for which the program is h-bounded.
 
     Returns None when the program is not even ``max_h``-bounded.  (By
     Theorem 5.9 the existence of *some* bound is undecidable, so a None
-    answer is only relative to ``max_h``.)  *workers* fans the instance
-    enumeration out over a worker pool; the result is identical.
+    answer is only relative to ``max_h``.)
     """
-    from ..parallel.config import resolve_workers
-
-    if resolve_workers(workers) > 1:
-        from ..parallel.bounded import parallel_smallest_bound
-
-        return parallel_smallest_bound(
-            program, peer, max_h, budget, runtime_budget, workers=workers
-        )
     # A single pass: find the longest silent minimum-faithful run up to
     # max_h + 1; the program is h-bounded exactly for h >= that length.
     longest = 0

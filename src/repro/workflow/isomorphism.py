@@ -135,6 +135,62 @@ def instances_isomorphic(
     return find_instance_isomorphism(left, right, fixed) is not None
 
 
+def _placeholder(index: int) -> object:
+    return f"≡{index}"
+
+
+def _relations_by_name(
+    instance: Instance,
+) -> List[PyTuple[str, Mapping[object, Tuple]]]:
+    """``(name, rows)`` of every non-empty relation, ordered by name."""
+    out = []
+    for relation in instance.schema.relations:
+        rows = instance.rows(relation.name)
+        if rows:
+            out.append((relation.name, rows))
+    out.sort(key=lambda item: item[0])
+    return out
+
+
+def _canonical_renaming(
+    relations: Sequence[PyTuple[str, Mapping[object, Tuple]]],
+    fixed: Iterable[object],
+    make_value: Callable[[int], object],
+) -> Dict[object, object]:
+    """Lemma A.2's canonical renaming of the values outside *fixed*.
+
+    The sort rule: facts are ordered by relation name, then by the
+    pattern of their positions (``⊥`` first, then values of *fixed* by
+    ``repr``, then every other value); facts with equal patterns keep
+    their insertion order.  Values outside *fixed* are mapped to
+    ``make_value(0)``, ``make_value(1)``, ... in order of first
+    appearance along that sequence.
+    """
+    fixed_set = fixed if isinstance(fixed, (set, frozenset)) else set(fixed)
+
+    def pattern(values: PyTuple) -> PyTuple:
+        return tuple(
+            (0, "")
+            if is_null(value)
+            else (1, repr(value))
+            if value in fixed_set
+            else (3, "")
+            for value in values
+        )
+
+    renaming_map: Dict[object, object] = {}
+    for _, rows in relations:
+        facts = [tup.values for tup in rows.values()]
+        if len(facts) > 1:
+            facts.sort(key=pattern)
+        for values in facts:
+            for value in values:
+                if is_null(value) or value in fixed_set or value in renaming_map:
+                    continue
+                renaming_map[value] = make_value(len(renaming_map))
+    return renaming_map
+
+
 def canonicalize_instance(
     instance: Instance,
     fixed: Iterable[object] = (),
@@ -148,32 +204,29 @@ def canonicalize_instance(
     patterns determine a unique ordering (sufficient for the keyed
     canonical instances used by the bounded procedures).
     """
-    if make_value is None:
-        make_value = lambda index: f"≡{index}"  # noqa: E731 - tiny factory
-    fixed_set = set(fixed)
-    renaming_map: Dict[object, object] = {}
-    facts: List[PyTuple[str, PyTuple]] = []
-    for relation in instance.schema:
-        for tup in instance.relation(relation.name):
-            facts.append((relation.name, tup.values))
+    renaming = _canonical_renaming(
+        _relations_by_name(instance), fixed, make_value or _placeholder
+    )
+    return rename_instance(Renaming(renaming), instance)
 
-    def sort_key(fact: PyTuple[str, PyTuple]) -> PyTuple:
-        name, values = fact
-        parts = []
-        for value in values:
-            if is_null(value):
-                parts.append((0, ""))
-            elif value in fixed_set:
-                parts.append((1, repr(value)))
-            elif value in renaming_map:
-                parts.append((2, repr(renaming_map[value])))
-            else:
-                parts.append((3, ""))
-        return (name, tuple(parts))
 
-    for name, values in sorted(facts, key=sort_key):
-        for value in values:
-            if is_null(value) or value in fixed_set or value in renaming_map:
-                continue
-            renaming_map[value] = make_value(len(renaming_map))
-    return rename_instance(Renaming(renaming_map), instance)
+def canonical_key(instance: Instance, fixed: Iterable[object] = ()) -> PyTuple:
+    """``canonicalize_instance(instance, fixed)`` as a hashable value.
+
+    For each non-empty relation, by name, the name and the frozenset of
+    its renamed value tuples.  Two instances over one schema have equal
+    keys exactly when their canonical instances are equal, and no
+    :class:`Instance` is built: state-space deduplication takes one key
+    per successor.
+    """
+    relations = _relations_by_name(instance)
+    rename = _canonical_renaming(relations, fixed, _placeholder).get
+    return tuple(
+        (
+            name,
+            frozenset(
+                tuple(map(rename, tup.values, tup.values)) for tup in rows.values()
+            ),
+        )
+        for name, rows in relations
+    )

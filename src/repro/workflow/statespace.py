@@ -24,12 +24,12 @@ from .enumerate import applicable_events
 from .eventindex import ApplicableEventIndex
 from .events import Event
 from .instance import Instance
-from .isomorphism import canonicalize_instance
+from .isomorphism import canonical_key
 from .program import WorkflowProgram
 
 # Fresh values minted during expansion start above this floor, offset by
-# the visit index; the parallel frontier engine mints from the same
-# formula so the two engines produce identical fresh values.
+# the visit index, so a state's fresh values depend only on its position
+# in the visit order.
 FRESH_BASE = 30_000
 
 _STATES_VISITED = METRICS.counter(
@@ -104,7 +104,6 @@ class StateSpaceExplorer:
         initial: Optional[Instance] = None,
         budget: Optional[Budget] = None,
         use_event_index: bool = True,
-        workers: Optional[int] = None,
     ) -> None:
         if dedup not in ("none", "exact", "isomorphic"):
             raise ValueError(f"unknown dedup mode {dedup!r}")
@@ -115,46 +114,19 @@ class StateSpaceExplorer:
         )
         self.budget = budget
         self.use_event_index = use_event_index
-        self.workers = workers
         self.stats = ExplorationStats()
 
     def _signature(self, instance: Instance) -> object:
         if self.dedup == "exact":
             return instance
-        constants = self.program.constants()
-        return canonicalize_instance(instance, fixed=constants)
+        return canonical_key(instance, self.program.constants())
 
     def iterate(
         self,
         max_depth: int,
         max_states: Optional[int] = None,
     ) -> Iterator[ReachableState]:
-        """Yield reachable states breadth-first (the initial state first).
-
-        With ``workers > 1`` (or a process-wide default from
-        :func:`repro.parallel.set_default_workers`) the layer-synchronous
-        parallel frontier engine takes over; it yields the identical
-        state stream and stats for every worker count, so ``explore``,
-        ``find`` and ``reachable_count`` all parallelise through here.
-        """
-        from ..parallel.config import resolve_workers
-
-        if resolve_workers(self.workers) > 1:
-            from ..parallel.frontier import iterate_states
-
-            self.stats = ExplorationStats()
-            yield from iterate_states(
-                self.program,
-                max_depth,
-                max_states,
-                dedup=self.dedup,
-                initial=self.initial,
-                budget=self.budget,
-                workers=self.workers,
-                use_event_index=self.use_event_index,
-                stats=self.stats,
-            )
-            return
+        """Yield reachable states breadth-first (the initial state first)."""
         self.stats = ExplorationStats()
         seen: Set[object] = set()
         queue: deque = deque()
@@ -297,18 +269,16 @@ def fact_reachable(
     dedup: str = "isomorphic",
     budget: Optional[Budget] = None,
     max_states: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Optional[ReachableState]:
     """A reachable state with a non-empty *relation*, if one exists in bound.
 
     The bounded form of the (undecidable) question (?) of Theorem 5.4.
     *max_states* caps the visited states exactly as in
-    :meth:`StateSpaceExplorer.find`; *workers* selects the parallel
-    frontier engine.
+    :meth:`StateSpaceExplorer.find`.
 
     >>> # witness = fact_reachable(pcp_workflow(instance), "U", 6)
     """
-    explorer = StateSpaceExplorer(program, dedup=dedup, budget=budget, workers=workers)
+    explorer = StateSpaceExplorer(program, dedup=dedup, budget=budget)
     return explorer.find(
         lambda instance: bool(instance.keys(relation)), max_depth, max_states
     )

@@ -56,6 +56,15 @@ class TestMinimumScenario:
         for peer in ("cto", "ceo", "assistant", "applicant"):
             assert minimum_scenario(approval_run, peer) is not None
 
+    def test_bound_below_own_events_is_none(self):
+        # The observing peer's own events are in every scenario, so a
+        # bound below their count is infeasible.
+        from repro.workloads import churn_program
+
+        run = RunGenerator(churn_program(), seed=3).random_run(8)
+        assert any(event.peer == "auditor" for event in run.events)
+        assert minimum_scenario(run, "auditor", max_depth=0) is None
+
     @pytest.mark.parametrize("seed", range(5))
     def test_minimum_is_scenario_on_random_runs(self, hiring, seed):
         run = RunGenerator(hiring, seed=seed).random_run(10)

@@ -8,7 +8,8 @@ The delta-facing entry points moved into :mod:`repro.dataflow`
 and ``repro.deprecation`` are gone.  This suite pins that — and that
 the *previous* generation of shims (the renamed search-limit kwargs
 and pre-backend toggles) is gone too, so nothing resurrects them
-silently.
+silently.  The multiprocessing search engine went whole: its package,
+the searches' ``workers=`` keyword and the CLI's ``--workers`` flag.
 """
 
 from __future__ import annotations
@@ -116,3 +117,35 @@ class TestRetiredShims:
 
         with pytest.raises(TypeError):
             anytime_minimum_scenario(approval_run, "applicant", Budget(), max_size=3)
+
+
+class TestParallelEngineIsGone:
+    """The searches are sequential; nothing selects a worker count."""
+
+    def test_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")
+
+    def test_searches_reject_workers(self, approval_run):
+        from repro.core import minimum_scenario
+        from repro.transparency import check_h_bounded, smallest_bound
+        from repro.workflow.statespace import StateSpaceExplorer, fact_reachable
+
+        program = approval_run.program
+        searches = [
+            lambda: StateSpaceExplorer(program, workers=2),
+            lambda: fact_reachable(program, "approval", 1, workers=2),
+            lambda: check_h_bounded(program, "applicant", 1, workers=2),
+            lambda: smallest_bound(program, "applicant", 1, workers=2),
+            lambda: minimum_scenario(approval_run, "applicant", workers=2),
+        ]
+        for search in searches:
+            with pytest.raises(TypeError):
+                search()
+
+    def test_cli_rejects_workers(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workers", "2", "run", "--help"])
+        assert exit_info.value.code == 2

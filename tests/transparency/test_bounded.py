@@ -27,6 +27,9 @@ class TestChains:
     def test_smallest_bound(self, depth):
         assert smallest_bound(chain_program(depth), "observer", depth + 2, TINY) == depth + 1
 
+    def test_smallest_bound_is_none_below_the_bound(self):
+        assert smallest_bound(chain_program(2), "observer", 2, TINY) is None
+
     def test_witness_is_a_silent_faithful_run(self):
         program = chain_program(2)
         result = check_h_bounded(program, "observer", 1, TINY)

@@ -4,9 +4,6 @@
 Per-package floors plus a total ratchet, all read from
 ``coverage_ratchet.json`` at the repo root:
 
-* ``parallel_floor`` — the ``repro.parallel`` package must stay at or
-  above this line coverage (the differential-test layer's promise is
-  only as good as its reach into the engine).
 * ``workflow_floor`` — the ``repro.workflow`` package (the engine, the
   planner and the query compiler) must stay at or above this line
   coverage; the compiled backend is only trustworthy to the extent the
@@ -50,7 +47,6 @@ RATCHET_PATH = Path(__file__).resolve().parent.parent / "coverage_ratchet.json"
 #: ``workloads`` pattern allows one directory level for the family
 #: subpackage (``workloads/families/*.py``).
 PACKAGES = {
-    "parallel": re.compile(r"(^|/)(src/)?(repro/)?parallel/[^/]+\.py$"),
     "workflow": re.compile(r"(^|/)(src/)?(repro/)?workflow/[^/]+\.py$"),
     "dataflow": re.compile(r"(^|/)(src/)?(repro/)?dataflow/[^/]+\.py$"),
     "workloads": re.compile(
