@@ -9,8 +9,8 @@ Three questions, one per table:
   path grows linearly — the gap is the price of paranoia, paid only
   when auditing.
 
-* **E18b** — per-backend append/read throughput.  The four backends
-  (memory, file, segment, sqlite) under the flush and fsync durability
+* **E18b** — per-backend append/read throughput.  The three backends
+  (memory, file, segment) under the flush and fsync durability
   policies: what one acknowledged event costs, and what reading the
   history back costs.  The durable backends buy crash-survival with
   the fsync round-trip; the table shows exactly what that costs here.
@@ -152,8 +152,6 @@ def test_e18b_backend_throughput(benchmark):
             ("file", f"file:{_fresh_dir(tmp, 'file-fsync')}", "fsync"),
             ("segment", f"segment:{_fresh_dir(tmp, 'seg-flush')}", "flush"),
             ("segment", f"segment:{_fresh_dir(tmp, 'seg-fsync')}", "fsync"),
-            ("sqlite", f"sqlite:{Path(tmp) / 'flush.db'}", "flush"),
-            ("sqlite", f"sqlite:{Path(tmp) / 'fsync.db'}", "fsync"),
         ]
         for name, spec, durability in specs:
             backend = open_backend(spec, durability=durability)

@@ -72,7 +72,6 @@ from .runtime import (
     CancellationToken,
     FaultInjector,
     FaultPlan,
-    JournalWriter,
     Supervisor,
     anytime_minimum_scenario,
     anytime_reachable_states,
@@ -124,7 +123,6 @@ __all__ = [
     "CancellationToken",
     "FaultInjector",
     "FaultPlan",
-    "JournalWriter",
     "Supervisor",
     "NULL",
     "OMEGA",

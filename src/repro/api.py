@@ -122,7 +122,6 @@ from .runtime import (
     Budget,
     BudgetExceeded,
     DiskFaultPlan,
-    JournalWriter,
     ResumedRun,
     Supervisor,
     anytime_minimum_scenario,
@@ -140,7 +139,6 @@ from .storage import (
     FileBackend,
     MemoryBackend,
     SegmentBackend,
-    SqliteBackend,
     StorageBackend,
     open_backend,
 )
@@ -284,7 +282,6 @@ __all__ = [
     "Budget",
     "BudgetExceeded",
     "DiskFaultPlan",
-    "JournalWriter",
     "ResumedRun",
     "Supervisor",
     "anytime_minimum_scenario",
@@ -297,7 +294,6 @@ __all__ = [
     "FileBackend",
     "MemoryBackend",
     "SegmentBackend",
-    "SqliteBackend",
     "StorageBackend",
     "open_backend",
     # service

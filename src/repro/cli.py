@@ -154,6 +154,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    journal = Path(args.journal) if args.journal else None
+    if journal is not None and journal.exists() and journal.stat().st_size:
+        # A second run appended to a journal would be a second begin
+        # record, which no recovery accepts.
+        raise WorkflowError(f"journal {journal} already holds records")
     program = _load_program(args.program)
     run = _obtain_run(program, args)
     print(run)
@@ -421,15 +426,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceServer, WorkflowService
 
     program = _load_service_program(args)
-    journal_dir = Path(args.journal_dir) if args.journal_dir else None
+    if args.journal_dir and args.storage:
+        raise WorkflowError("pass --storage or --journal-dir, not both")
     service = WorkflowService(
         program,
         shards=args.shards,
-        journal_dir=journal_dir,
         queue_capacity=args.queue_capacity,
         snapshot_every=args.snapshot_every,
         fault_plan=_fault_plan(args),
-        storage=args.storage,
+        storage=f"file:{args.journal_dir}" if args.journal_dir else args.storage,
         durability=args.durability,
         max_resident=args.max_resident,
         compact_every=args.compact_every,
@@ -633,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(with --journal-dir or --storage)")
     p_recover.add_argument("--storage", default=None,
                            help="a storage backend spec to recover from "
-                                "(file:DIR, segment:DIR, sqlite:PATH)")
+                                "(file:DIR or segment:DIR)")
     p_recover.add_argument("--full", action="store_true",
                            help="replay every event from the beginning and "
                                 "verify each snapshot, instead of resuming "
@@ -647,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compact.add_argument("--storage", default=None,
                            help="a storage backend spec "
-                                "(file:DIR, segment:DIR, sqlite:PATH)")
+                                "(file:DIR or segment:DIR)")
     p_compact.add_argument("--journal-dir", default=None,
                            help="a service journal directory "
                                 "(shorthand for --storage file:DIR)")
@@ -710,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=8,
                          help="run-registry shard count")
     p_serve.add_argument("--journal-dir", default=None,
-                         help="directory for per-run journals (durability "
-                              "+ crash recovery); layout matches "
+                         help="directory for per-run journals (shorthand "
+                              "for --storage file:DIR); layout matches "
                               "'repro recover --journal-dir'")
     p_serve.add_argument("--queue-capacity", type=int, default=64,
                          help="per-run mailbox bound (backpressure threshold)")
@@ -731,10 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-event crash rate (recovered from journals)")
     p_serve.add_argument("--storage", default=None,
                          help="storage backend spec: memory (default), "
-                              "file:DIR, segment:DIR or sqlite:PATH")
+                              "file:DIR or segment:DIR")
     p_serve.add_argument("--durability", default=None,
                          help="durability policy for disk backends: "
-                              "none, flush (default), interval[:N], fsync")
+                              "flush (default), interval[:N], fsync")
     p_serve.add_argument("--max-resident", type=int, default=None,
                          help="LRU-evict idle hosted runs beyond this many "
                               "(rehydrated transparently from storage)")
@@ -771,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="shard worker processes to spawn")
     p_cluster.add_argument("--durability", default="flush",
                            help="durability policy of each shard's segment "
-                                "store: none, flush, interval[:N], fsync")
+                                "store: flush, interval[:N], fsync")
     p_cluster.add_argument("--snapshot-every", type=int, default=10,
                            help="journal snapshot period (events)")
     p_cluster.add_argument("--no-replicate", action="store_true",

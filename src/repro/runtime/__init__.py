@@ -3,9 +3,10 @@
 * :mod:`repro.runtime.budget` — composable execution budgets (wall
   clock, steps, depth) with cooperative cancellation, polled inside
   every worst-case-exponential search;
-* :mod:`repro.runtime.journal` — append-only, replayable run journals
-  with periodic snapshots and crash recovery;
-* :mod:`repro.runtime.checkpoint` — snapshot policy and fast resume;
+* :mod:`repro.runtime.journal` — the run-journal record format and
+  full-replay crash recovery;
+* :mod:`repro.runtime.checkpoint` — fast resume from the latest
+  snapshot;
 * :mod:`repro.runtime.supervisor` — supervised event application with
   bounded retry, quarantine of poisoned events, and anytime search
   entry points that degrade gracefully under a budget;
@@ -37,7 +38,7 @@ from .budget import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from .checkpoint import CheckpointPolicy, Snapshot, latest_snapshot, resume_state
+    from .checkpoint import ResumedRun, fast_recover
     from .faults import (
         CrashFault,
         FaultInjector,
@@ -48,12 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     )
     from .journal import (
         JOURNAL_SUFFIX,
-        JournalWriter,
-        MemorySink,
         RecoveredRun,
         journal_path,
         journal_run,
-        list_journals,
         read_journal,
         recover_run,
         run_id_from_path,
@@ -70,12 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
 _LAZY = {
     # journal
     "JOURNAL_SUFFIX": "journal",
-    "JournalWriter": "journal",
-    "MemorySink": "journal",
     "RecoveredRun": "journal",
     "journal_path": "journal",
     "journal_run": "journal",
-    "list_journals": "journal",
     "read_journal": "journal",
     "read_journal_ex": "journal",
     "recover_run": "journal",
@@ -86,13 +81,8 @@ _LAZY = {
     "quarantine_record": "journal",
     "snapshot_record": "journal",
     # checkpoint
-    "CheckpointPolicy": "checkpoint",
     "ResumedRun": "checkpoint",
-    "Snapshot": "checkpoint",
     "fast_recover": "checkpoint",
-    "latest_snapshot": "checkpoint",
-    "resume_state": "checkpoint",
-    "verify_snapshots": "checkpoint",
     # supervisor
     "QuarantinedEvent": "supervisor",
     "RetryPolicy": "supervisor",

@@ -1,95 +1,31 @@
-"""Checkpointing: snapshot policy and fast resume from a journal.
+"""Fast resume from a journal's latest checkpoint.
 
 :func:`repro.runtime.journal.recover_run` replays a journal from its
-initial instance, re-validating every event — the paranoid path.  For
-long runs the journal's periodic snapshots allow a *fast resume*: jump
-to the latest snapshot and replay only the tail, which is what
-:func:`resume_state` implements.  The tail events are still applied
-through the engine, so their validity is re-checked; only the prefix
-before the snapshot is trusted (its integrity can be audited separately
-with :func:`verify_snapshots` or a full :func:`recover_run`).
+initial instance, re-validating every event and verifying every
+snapshot — the paranoid path.  For long runs the journal's periodic
+snapshots allow a *fast resume*: jump to the latest snapshot and replay
+only the tail, which is what :func:`fast_recover` implements.  Both
+read the journal through one record scan
+(:func:`~repro.runtime.journal.scan_journal`).  The tail events are
+still applied through the engine, so their validity is re-checked; only
+the prefix before the snapshot is trusted (audit it with a full
+:func:`~repro.runtime.journal.recover_run`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..workflow.engine import apply_event
 from ..workflow.errors import EventError, RecoveryError
 from ..workflow.events import Event
 from ..workflow.instance import Instance
 from ..workflow.program import WorkflowProgram
-from ..workflow.serialization import event_from_dict, instance_from_dict
-from .journal import JOURNAL_VERSION, read_journal, read_journal_ex
+from ..workflow.serialization import instance_from_dict
+from .journal import JournalSource, scan_journal
 
-__all__ = [
-    "CheckpointPolicy",
-    "ResumedRun",
-    "Snapshot",
-    "fast_recover",
-    "latest_snapshot",
-    "resume_state",
-    "verify_snapshots",
-]
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When the supervisor writes instance snapshots into the journal.
-
-    ``every_events``: snapshot after every N applied events (0 or None
-    disables periodic snapshots).  ``at_end``: always snapshot the final
-    instance when the run completes, giving recovery an O(1) tail.
-    """
-
-    every_events: Optional[int] = 10
-    at_end: bool = True
-
-    def due(self, events_applied: int) -> bool:
-        return bool(self.every_events) and events_applied % self.every_events == 0
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """A decoded snapshot: the instance after *position* journaled events."""
-
-    position: int
-    instance: Instance
-
-
-def _snapshots(program: WorkflowProgram, records: List[Dict[str, Any]]) -> List[Snapshot]:
-    out: List[Snapshot] = []
-    events_seen = 0
-    for record in records:
-        kind = record.get("type")
-        if kind == "event":
-            events_seen += 1
-        elif kind == "snapshot":
-            out.append(
-                Snapshot(events_seen, instance_from_dict(program, record.get("instance", {})))
-            )
-    return out
-
-
-def latest_snapshot(
-    program: WorkflowProgram, source: Any
-) -> Optional[Snapshot]:
-    """The most recent snapshot in a journal, decoded; None if there is none."""
-    records = source if isinstance(source, list) else read_journal(source)
-    snapshots = _snapshots(program, records)
-    return snapshots[-1] if snapshots else None
-
-
-def verify_snapshots(program: WorkflowProgram, source: Any) -> int:
-    """Re-derive every snapshot by replay and count the verified ones.
-
-    Raises :class:`~repro.workflow.errors.RecoveryError` on the first
-    snapshot that diverges from the replayed instance.
-    """
-    from .journal import recover_run
-
-    return recover_run(program, source, verify_snapshots=True).snapshots_verified
+__all__ = ["ResumedRun", "fast_recover"]
 
 
 @dataclass
@@ -122,50 +58,21 @@ class ResumedRun:
         return len(self.events)
 
 
-def fast_recover(program: WorkflowProgram, source: Any) -> ResumedRun:
+def fast_recover(program: WorkflowProgram, source: JournalSource) -> ResumedRun:
     """Resume a journal from its latest snapshot, replaying only the tail.
 
-    The snapshot is trusted (audit it separately with
-    :func:`verify_snapshots` or a full
+    The snapshot is trusted (audit it separately with a full
     :func:`~repro.runtime.journal.recover_run`); the events after it are
     re-applied through the engine, so their validity is still checked.
     The full event history is decoded — explanations and provenance need
     it — but decoding is a constant-factor JSON walk, not engine work.
     """
-    warnings: List[str] = []
-    if isinstance(source, list) and (not source or isinstance(source[0], dict)):
-        records = source
-    else:
-        records, warnings = read_journal_ex(source)
-    if not records or records[0].get("type") != "begin":
-        raise RecoveryError("journal has no begin record")
-    begin = records[0]
-    if begin.get("version", JOURNAL_VERSION) != JOURNAL_VERSION:
-        raise RecoveryError(f"unsupported journal version {begin.get('version')!r}")
-    initial = instance_from_dict(program, begin.get("initial", {}))
-    events: List[Event] = []
-    quarantined: List[Dict[str, Any]] = []
-    status: Optional[str] = None
-    snapshot_record: Optional[Dict[str, Any]] = None
-    snapshot_position = 0
-    for record in records[1:]:
-        kind = record.get("type")
-        if kind == "event":
-            events.append(event_from_dict(program, record["event"]))
-        elif kind == "snapshot":
-            snapshot_record, snapshot_position = record, len(events)
-        elif kind == "quarantine":
-            quarantined.append(record)
-        elif kind == "end":
-            status = record.get("status")
-        elif kind == "begin":
-            raise RecoveryError("journal contains a second begin record")
-        else:
-            raise RecoveryError(f"unknown journal record type {kind!r}")
-    if snapshot_record is None:
-        instance = initial
-    else:
-        instance = instance_from_dict(program, snapshot_record.get("instance", {}))
+    scan = scan_journal(program, source)
+    instance, snapshot_position = scan.initial, 0
+    if scan.snapshots:
+        snapshot_position, record = scan.snapshots[-1]
+        instance = instance_from_dict(program, record.get("instance", {}))
+    events = scan.events
     for offset, event in enumerate(events[snapshot_position:]):
         try:
             instance = apply_event(program.schema, instance, event, None)
@@ -175,46 +82,12 @@ def fast_recover(program: WorkflowProgram, source: Any) -> ResumedRun:
                 f"on resume: {exc}"
             ) from exc
     return ResumedRun(
-        initial=initial,
+        initial=scan.initial,
         instance=instance,
         events=events,
         engine_replayed=len(events) - snapshot_position,
         snapshot_position=snapshot_position,
-        status=status,
-        quarantined=quarantined,
-        warnings=warnings,
+        status=scan.status,
+        quarantined=scan.quarantined,
+        warnings=scan.warnings,
     )
-
-
-def resume_state(
-    program: WorkflowProgram, source: Any
-) -> Tuple[Instance, int]:
-    """Fast resume: the latest recoverable state and how many events led there.
-
-    Starts from the latest snapshot (or the initial instance when the
-    journal has none) and applies only the journaled events after it,
-    re-checking validity event by event.  Returns ``(instance, n)``
-    where *n* counts all journaled events reflected in *instance*.
-    """
-    records = source if isinstance(source, list) else read_journal(source)
-    if not records or records[0].get("type") != "begin":
-        raise RecoveryError("journal has no begin record")
-    initial = instance_from_dict(program, records[0].get("initial", {}))
-    events: List[Event] = [
-        event_from_dict(program, record["event"])
-        for record in records[1:]
-        if record.get("type") == "event"
-    ]
-    snapshot = latest_snapshot(program, records)
-    if snapshot is None:
-        instance, position = initial, 0
-    else:
-        instance, position = snapshot.instance, snapshot.position
-    for offset, event in enumerate(events[position:]):
-        try:
-            instance = apply_event(program.schema, instance, event, None)
-        except EventError as exc:
-            raise RecoveryError(
-                f"journaled event {position + offset} no longer applies on resume: {exc}"
-            ) from exc
-    return instance, len(events)

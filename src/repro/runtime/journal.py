@@ -8,33 +8,38 @@ record per applied event (the event encoding of
 with the full instance, optional ``quarantine`` records for events the
 supervisor set aside, and an ``end`` record with the final status.
 
-Each record is flushed as soon as it is written, so a crashed process
-leaves a journal describing exactly the prefix it completed; a torn
-final line (the crash interrupted a write) is detected and dropped on
-read.  :func:`recover_run` replays the journaled events through the
-engine — validity is re-checked at every step — and verifies every
-snapshot against the replayed instance, turning the journal into a
-recovery mechanism and not merely a log.
+This module defines the record format and reads it back; one writer,
+:class:`repro.storage.RecordJournal`, emits it into a
+:class:`~repro.storage.RunStore` — a flat JSON-lines file, memory, or a
+CRC-framed segment log.  A torn final line (a crash interrupted a
+write) is detected and dropped on read.  :func:`recover_run` replays
+the journaled events through the engine — validity is re-checked at
+every step — and verifies every snapshot against the replayed
+instance, turning the journal into a recovery mechanism and not merely
+a log; :func:`repro.runtime.checkpoint.fast_recover` shares its record
+scan and replays only the tail after the latest snapshot.
 
-Crash-consistency contract.  ``flush`` (the default) pushes each record
-into the OS page cache before the event is acknowledged: a *process*
-crash never loses an acknowledged event, but an OS/power crash may lose
-the unsynced tail.  ``fsync=True`` additionally calls ``os.fsync`` per
-record, extending the guarantee to power loss at the cost of one disk
-round-trip per event.  The storage backends of :mod:`repro.storage`
-generalize this into a per-backend
-:class:`~repro.storage.DurabilityPolicy`; see ``docs/STORAGE.md`` for
-the full durability matrix.
+The crash-consistency contract is the store's
+:class:`~repro.storage.DurabilityPolicy`: ``flush`` (the default)
+survives a process crash, ``fsync`` survives power loss at one disk
+round-trip per record; see ``docs/STORAGE.md`` for the full matrix.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple as PyTuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple as PyTuple,
+    Union,
+)
 
 from ..workflow.errors import JournalError, RecoveryError, RunError
 from ..workflow.events import Event
@@ -48,23 +53,25 @@ from ..workflow.serialization import (
     instance_to_dict,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - the storage layer imports this module
+    from ..storage.backend import RunStore
+
 __all__ = [
     "JOURNAL_SUFFIX",
     "JOURNAL_VERSION",
-    "JournalWriter",
-    "MemorySink",
+    "JournalScan",
     "RecoveredRun",
     "begin_record",
     "end_record",
     "event_record",
     "journal_path",
     "journal_run",
-    "list_journals",
     "quarantine_record",
     "read_journal",
     "read_journal_ex",
     "recover_run",
     "run_id_from_path",
+    "scan_journal",
     "snapshot_record",
 ]
 
@@ -74,14 +81,17 @@ JOURNAL_VERSION = 1
 #: File suffix of on-disk run journals in a journal directory.
 JOURNAL_SUFFIX = ".journal"
 
+#: What the readers accept: a journal file, its lines, or parsed records.
+JournalSource = Union[str, Path, Iterable[str], List[Dict[str, Any]]]
+
 
 # ----------------------------------------------------------------------
 # Journal directory layout
 # ----------------------------------------------------------------------
 #
 # Every component that maps run ids to journal files — ``repro serve
-# --journal-dir``, ``repro recover --journal-dir``, the service registry
-# — goes through these three functions, so the layout is defined in
+# --journal-dir``, ``repro recover --journal-dir``, the file backend —
+# goes through these functions, so the layout is defined in
 # exactly one place: ``<dir>/<quoted run id>.journal``, with the run id
 # percent-encoded so arbitrary ids stay one flat file per run.
 
@@ -109,25 +119,13 @@ def run_id_from_path(path: Union[str, Path]) -> str:
     return unquote(name[: -len(JOURNAL_SUFFIX)])
 
 
-def list_journals(journal_dir: Union[str, Path]) -> Dict[str, Path]:
-    """All run journals under *journal_dir*, as ``run_id -> path``."""
-    directory = Path(journal_dir)
-    if not directory.is_dir():
-        return {}
-    return {
-        run_id_from_path(path): path
-        for path in sorted(directory.glob("*" + JOURNAL_SUFFIX))
-    }
-
-
 # ----------------------------------------------------------------------
 # Record constructors
 # ----------------------------------------------------------------------
 #
-# The journal format is defined by these five builders; every producer
-# (the text-level JournalWriter below, the record-level stores of
-# :mod:`repro.storage`) goes through them, so the format has exactly one
-# authority.
+# The journal format is defined by these five builders; the one writer
+# (:class:`repro.storage.RecordJournal`) goes through them, so the
+# format has exactly one authority.
 
 
 def begin_record(initial: Instance, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -171,121 +169,32 @@ def end_record(status: str = "completed", reason: Optional[str] = None) -> Dict[
     return record
 
 
-class MemorySink:
-    """An in-memory journal sink that survives a simulated process crash.
+def journal_run(
+    run: Run,
+    sink: Union[str, Path, "RunStore"],
+    snapshot_every: Optional[int] = 10,
+    status: str = "completed",
+) -> None:
+    """Journal an already-executed run (e.g. for archival or transport).
 
-    The fault-injection tests model a crash by abandoning the writer and
-    every other in-memory structure while keeping the sink's lines — the
-    analogue of the OS page cache surviving a process death.
+    *sink* is a :class:`~repro.storage.RunStore`, or a path that gets a
+    flat JSON-lines file store.  Nothing is compacted: every snapshot
+    stays for :func:`recover_run` to verify.
     """
+    from ..storage.backend import RecordJournal, file_store
 
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def write(self, text: str) -> None:
-        self.lines.append(text)
-
-    def flush(self) -> None:  # file-object protocol
-        pass
-
-    def read_lines(self) -> List[str]:
-        return list(self.lines)
-
-
-class JournalWriter:
-    """Append-only writer of journal records.
-
-    *sink* is a path (opened for appending) or any object with ``write``
-    and ``flush``; every record is one JSON line, flushed immediately.
-    ``snapshot_every`` controls periodic instance snapshots taken by
-    :meth:`record_event` (None or 0 disables them; recovery then replays
-    from the initial instance).
-
-    ``fsync=True`` upgrades the per-record guarantee from
-    "flushed to the OS" (survives a process crash) to "fsynced to disk"
-    (survives an OS/power crash) — see the module docstring for the
-    crash-consistency contract.  It is ignored for sinks without a file
-    descriptor (e.g. :class:`MemorySink`).
-    """
-
-    def __init__(
-        self,
-        sink: Union[str, Path, Any],
-        snapshot_every: Optional[int] = 10,
-        fsync: bool = False,
-    ) -> None:
-        self._owns_sink = isinstance(sink, (str, Path))
-        self._sink = open(sink, "a", encoding="utf-8") if self._owns_sink else sink
-        self.snapshot_every = snapshot_every
-        self.fsync = fsync
-        self.events_recorded = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Record emission
-    # ------------------------------------------------------------------
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        if self._closed:
-            raise JournalError("journal writer is closed")
-        self._sink.write(json.dumps(record, sort_keys=True) + "\n")
-        self._sink.flush()
-        if self.fsync:
-            try:
-                fileno = self._sink.fileno()
-            except (AttributeError, OSError, io.UnsupportedOperation):
-                return  # memory sinks have nothing to sync
-            os.fsync(fileno)
-
-    def begin(self, initial: Instance, meta: Optional[Dict[str, Any]] = None) -> None:
-        """Open the journal with the run's initial instance."""
-        self._emit(begin_record(initial, meta))
-
-    def record_event(self, index: int, event: Event, instance: Optional[Instance] = None) -> None:
-        """Journal one applied event; snapshot periodically when *instance* given."""
-        self._emit(event_record(index, event))
-        self.events_recorded += 1
-        if (
-            instance is not None
-            and self.snapshot_every
-            and self.events_recorded % self.snapshot_every == 0
-        ):
-            self.snapshot(index, instance)
-
-    def snapshot(self, index: int, instance: Instance) -> None:
-        """Journal a full instance snapshot after the event at *index*."""
-        self._emit(snapshot_record(index, self.events_recorded, instance))
-
-    def quarantine(self, index: int, event: Event, error: str, attempts: int) -> None:
-        """Journal an event the supervisor set aside as poisoned."""
-        self._emit(quarantine_record(index, event, error, attempts))
-
-    def end(self, status: str = "completed", reason: Optional[str] = None) -> None:
-        """Close the journal with a final status record."""
-        self._emit(end_record(status, reason))
-
-    def observer(self) -> Callable[[int, Event, Instance], None]:
-        """An observer for :func:`repro.workflow.runs.execute`.
-
-        Journals each event (with periodic snapshots) as the engine
-        applies it, so a crash mid-execution leaves a replayable prefix.
-        """
-
-        def observe(index: int, event: Event, instance: Instance) -> None:
-            self.record_event(index, event, instance)
-
-        return observe
-
-    def close(self) -> None:
-        if not self._closed and self._owns_sink:
-            self._sink.close()
-        self._closed = True
-
-    def __enter__(self) -> "JournalWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    owned = isinstance(sink, (str, Path))
+    journal = RecordJournal(
+        file_store(sink) if owned else sink,
+        snapshot_every=snapshot_every,
+        compact_every=0,
+    )
+    journal.begin(run.initial)
+    for index, event in enumerate(run.events):
+        journal.record_event(index, event, run.instances[index])
+    journal.end(status)
+    if owned:
+        journal.close()
 
 
 # ----------------------------------------------------------------------
@@ -293,20 +202,20 @@ class JournalWriter:
 # ----------------------------------------------------------------------
 
 
-def read_journal(source: Union[str, Path, MemorySink, Iterable[str]]) -> List[Dict[str, Any]]:
+def read_journal(source: Union[str, Path, Iterable[str]]) -> List[Dict[str, Any]]:
     """Parse a journal into its records.
 
-    *source* is a path, a :class:`MemorySink`, or an iterable of lines.
-    A torn final line (a crash interrupted the write — truncated JSON,
-    or JSON that is not a typed record) is dropped; a malformed line
-    anywhere else raises :class:`JournalError`.  Use
-    :func:`read_journal_ex` to also see what was dropped.
+    *source* is a path or an iterable of lines.  A torn final line (a
+    crash interrupted the write — truncated JSON, or JSON that is not a
+    typed record) is dropped; a malformed line anywhere else raises
+    :class:`JournalError`.  Use :func:`read_journal_ex` to also see what
+    was dropped.
     """
     return read_journal_ex(source)[0]
 
 
 def read_journal_ex(
-    source: Union[str, Path, MemorySink, Iterable[str]],
+    source: Union[str, Path, Iterable[str]],
 ) -> PyTuple[List[Dict[str, Any]], List[str]]:
     """:func:`read_journal`, plus warnings about dropped trailing garbage.
 
@@ -316,8 +225,6 @@ def read_journal_ex(
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
-    elif isinstance(source, MemorySink):
-        lines = "".join(source.read_lines()).splitlines()
     else:
         lines = "".join(source).splitlines()
     records: List[Dict[str, Any]] = []
@@ -347,6 +254,55 @@ def read_journal_ex(
 
 
 @dataclass
+class JournalScan:
+    """One decoding pass over a journal, shared by both recovery paths.
+
+    The begin record is checked (present, first, a known version) and
+    every event decoded; snapshots are kept as ``(events before them,
+    record)`` pairs and decoded only by the reader that needs them.
+    """
+
+    initial: Instance
+    events: List[Event] = field(default_factory=list)
+    snapshots: List[PyTuple[int, Dict[str, Any]]] = field(default_factory=list)
+    quarantined: List[Dict[str, Any]] = field(default_factory=list)
+    status: Optional[str] = None
+    warnings: List[str] = field(default_factory=list)
+
+
+def scan_journal(program: WorkflowProgram, source: JournalSource) -> JournalScan:
+    """Check and decode a journal's records (see :class:`JournalScan`)."""
+    warnings: List[str] = []
+    if isinstance(source, list) and (not source or isinstance(source[0], dict)):
+        records = source  # pre-parsed
+    else:
+        records, warnings = read_journal_ex(source)
+    if not records or records[0].get("type") != "begin":
+        raise RecoveryError("journal has no begin record")
+    begin = records[0]
+    if begin.get("version", JOURNAL_VERSION) != JOURNAL_VERSION:
+        raise RecoveryError(f"unsupported journal version {begin.get('version')!r}")
+    scan = JournalScan(
+        instance_from_dict(program, begin.get("initial", {})), warnings=warnings
+    )
+    for record in records[1:]:
+        kind = record.get("type")
+        if kind == "event":
+            scan.events.append(event_from_dict(program, record["event"]))
+        elif kind == "snapshot":
+            scan.snapshots.append((len(scan.events), record))
+        elif kind == "quarantine":
+            scan.quarantined.append(record)
+        elif kind == "end":
+            scan.status = record.get("status")
+        elif kind == "begin":
+            raise RecoveryError("journal contains a second begin record")
+        else:
+            raise RecoveryError(f"unknown journal record type {kind!r}")
+    return scan
+
+
+@dataclass
 class RecoveredRun:
     """The result of replaying a journal through the engine.
 
@@ -372,7 +328,7 @@ class RecoveredRun:
 
 def recover_run(
     program: WorkflowProgram,
-    source: Union[str, Path, MemorySink, Iterable[str], List[Dict[str, Any]]],
+    source: JournalSource,
     verify_snapshots: bool = True,
 ) -> RecoveredRun:
     """Replay a journal against *program*, re-checking validity stepwise.
@@ -387,75 +343,26 @@ def recover_run(
     >>> # recovered = recover_run(program, "run.journal")
     >>> # recovered.run.final_instance  # isomorphic to the crashed run's
     """
-    warnings: List[str] = []
-    if isinstance(source, list) and (not source or isinstance(source[0], dict)):
-        records = source  # pre-parsed
-    else:
-        records, warnings = read_journal_ex(source)
-    if not records or records[0].get("type") != "begin":
-        raise RecoveryError("journal has no begin record")
-    begin = records[0]
-    if begin.get("version", JOURNAL_VERSION) != JOURNAL_VERSION:
-        raise RecoveryError(f"unsupported journal version {begin.get('version')!r}")
-    initial = instance_from_dict(program, begin.get("initial", {}))
-    events: List[Event] = []
-    # (events seen so far, snapshot record) in journal order
-    snapshots: List[tuple] = []
-    quarantined: List[Dict[str, Any]] = []
-    status: Optional[str] = None
-    for record in records[1:]:
-        kind = record.get("type")
-        if kind == "event":
-            events.append(event_from_dict(program, record["event"]))
-        elif kind == "snapshot":
-            snapshots.append((len(events), record))
-        elif kind == "quarantine":
-            quarantined.append(record)
-        elif kind == "end":
-            status = record.get("status")
-        elif kind == "begin":
-            raise RecoveryError("journal contains a second begin record")
-        else:
-            raise RecoveryError(f"unknown journal record type {kind!r}")
+    scan = scan_journal(program, source)
     try:
-        run = execute(program, events, initial=initial, check_freshness=False)
+        run = execute(program, scan.events, initial=scan.initial, check_freshness=False)
     except RunError as exc:
         raise RecoveryError(f"journal replay failed: {exc}") from exc
     verified = 0
     if verify_snapshots:
-        for events_seen, record in snapshots:
-            if events_seen == 0:
-                expected = run.initial
-            else:
-                expected = run.instances[events_seen - 1]
-            recorded = instance_from_dict(program, record.get("instance", {}))
-            if recorded != expected:
+        for events_seen, record in scan.snapshots:
+            expected = run.instances[events_seen - 1] if events_seen else run.initial
+            if instance_from_dict(program, record.get("instance", {})) != expected:
                 raise RecoveryError(
                     f"snapshot after {events_seen} events diverges from replay"
                 )
             verified += 1
     return RecoveredRun(
         run=run,
-        complete=status == "completed",
-        status=status,
-        events_replayed=len(events),
+        complete=scan.status == "completed",
+        status=scan.status,
+        events_replayed=len(scan.events),
         snapshots_verified=verified,
-        quarantined=quarantined,
-        warnings=warnings,
+        quarantined=scan.quarantined,
+        warnings=scan.warnings,
     )
-
-
-def journal_run(
-    run: Run,
-    sink: Union[str, Path, Any],
-    snapshot_every: Optional[int] = 10,
-    status: str = "completed",
-) -> JournalWriter:
-    """Journal an already-executed run (e.g. for archival or transport)."""
-    writer = JournalWriter(sink, snapshot_every=snapshot_every)
-    writer.begin(run.initial)
-    for index, event in enumerate(run.events):
-        writer.record_event(index, event, run.instances[index])
-    writer.end(status)
-    writer.close()
-    return writer

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Type
 
 from ..obs.metrics import METRICS
 from ..obs.trace import span
@@ -46,7 +46,9 @@ from ..workflow.runs import Run
 from ..workflow.statespace import ReachableState, StateSpaceExplorer
 from .budget import AnytimeResult, Budget, checkpoint
 from .faults import CrashFault, FaultInjector, TransientFault
-from .journal import JournalWriter
+
+if TYPE_CHECKING:  # pragma: no cover - the storage layer imports the runtime
+    from ..storage.backend import RecordJournal
 
 __all__ = [
     "QuarantinedEvent",
@@ -134,7 +136,8 @@ class SupervisedRun:
 class Supervisor:
     """A supervised event-application loop over one program.
 
-    >>> # supervisor = Supervisor(program, journal=JournalWriter("run.journal"))
+    >>> # journal = RecordJournal(FileBackend("journals").store("run"))
+    >>> # supervisor = Supervisor(program, journal=journal)
     >>> # result = supervisor.execute(events)
     >>> # result.run, result.quarantined, result.truncated
     """
@@ -144,7 +147,7 @@ class Supervisor:
         program: WorkflowProgram,
         retry: RetryPolicy = RetryPolicy(),
         budget: Optional[Budget] = None,
-        journal: Optional[JournalWriter] = None,
+        journal: Optional["RecordJournal"] = None,
         fault_injector: Optional[FaultInjector] = None,
         transient_errors: Tuple[Type[BaseException], ...] = (TransientFault,),
     ) -> None:

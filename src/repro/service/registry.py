@@ -18,8 +18,8 @@ run id whose records already exist *recovers* it — via
 only the events since the last checkpoint regardless of run length.
 The default backend keeps records in memory (the pre-storage
 semantics: nothing touches disk, a process death loses unjournaled
-runs); ``journal_dir=`` selects the legacy flat-file layout; segment
-and sqlite backends add CRC framing, torn-write recovery and injected
+runs); ``storage="file:DIR"`` selects the flat-file journal layout; the
+segment backend adds CRC framing, torn-write recovery and injected
 disk-fault tolerance (see ``docs/STORAGE.md``).
 
 Because every hosted run has a record history, the registry can also
@@ -40,7 +40,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple as PyTuple, Union
+from typing import Dict, List, Optional, Tuple as PyTuple, Union
 
 from ..core.incremental import IncrementalExplainer
 from ..obs.metrics import METRICS
@@ -48,9 +48,8 @@ from ..obs.provenance import ProvenanceLog
 from ..obs.trace import current_span_id
 from ..runtime.checkpoint import fast_recover
 from ..runtime.faults import DiskFault
-from ..runtime.journal import JournalWriter, end_record
+from ..runtime.journal import end_record
 from ..storage.backend import (
-    FileBackend,
     MemoryBackend,
     RecordJournal,
     StorageBackend,
@@ -130,7 +129,7 @@ class HostedRun:
         initial: Instance,
         instance: Optional[Instance] = None,
         events: Optional[List[Event]] = None,
-        journal: Union[JournalWriter, RecordJournal, None] = None,
+        journal: Optional[RecordJournal] = None,
         journal_file: Optional[Path] = None,
     ) -> None:
         self.run_id = run_id
@@ -433,7 +432,6 @@ class ShardedRunRegistry:
         self,
         program: WorkflowProgram,
         shards: int = 8,
-        journal_dir: Optional[Path] = None,
         snapshot_every: Optional[int] = 10,
         storage: Union[str, StorageBackend, None] = None,
         max_resident: Optional[int] = None,
@@ -441,25 +439,10 @@ class ShardedRunRegistry:
     ) -> None:
         if shards < 1:
             raise ServiceError("registry needs at least one shard")
-        if storage is not None and journal_dir is not None:
-            raise ServiceError("pass either storage= or journal_dir=, not both")
         if max_resident is not None and max_resident < 1:
             raise ServiceError("max_resident must be at least 1")
         self.program = program
-        if storage is None:
-            backend: StorageBackend = (
-                FileBackend(journal_dir) if journal_dir is not None else MemoryBackend()
-            )
-        elif isinstance(storage, str):
-            backend = open_backend(storage)
-        else:
-            backend = storage
-        self.storage = backend
-        # Kept for stats/back-compat: the flat journal directory when
-        # the backend is (or was built from) one.
-        self.journal_dir = (
-            Path(backend.root) if isinstance(backend, FileBackend) else None
-        )
+        self.storage = MemoryBackend() if storage is None else open_backend(storage)
         self.snapshot_every = snapshot_every
         self.max_resident = max_resident
         self.compact_every = compact_every
@@ -573,13 +556,17 @@ class ShardedRunRegistry:
         )
         # Disk faults are self-healing (the torn record is repaired on
         # the next append), so a failed begin write is retried before
-        # the open is refused.
+        # the open is refused.  A refused open leaves nothing behind:
+        # none of its records was acknowledged, and a store without a
+        # begin record would make every later open of the id fail.
         for attempt in range(3):
             try:
                 journal.begin(start, meta={"run_id": run_id})
                 break
             except DiskFault:
                 if attempt == 2:
+                    journal.close()
+                    backend.delete(run_id)
                     raise
         return HostedRun(
             run_id,
@@ -719,11 +706,8 @@ class ShardedRunRegistry:
         for shard in self._shards:
             async with shard.lock:
                 for hosted in shard.runs.values():
-                    store = getattr(hosted.journal, "store", None)
-                    if store is None:
-                        continue
                     try:
-                        store.sync()
+                        hosted.journal.store.sync()
                         synced += 1
                     except DiskFault:
                         pass
@@ -769,26 +753,23 @@ class ShardedRunRegistry:
         if hosted is None:
             return False
         journal = hosted.journal
-        if isinstance(journal, RecordJournal):
-            persisted = False
-            for _ in range(4):
-                try:
-                    if journal.last_snapshot_at != journal.events_recorded:
-                        # A parting checkpoint so rehydration replays
-                        # O(1) events, not O(events since the last
-                        # cadence snapshot).
-                        journal.snapshot(len(hosted.events) - 1, hosted.instance)
-                    journal.store.sync()
-                    persisted = True
-                    break
-                except DiskFault:
-                    continue  # the store self-heals; a new fault draw each try
-            if not persisted:
-                shard.runs[run_id] = hosted
-                return False
-            journal.close()
-        elif journal is not None:
-            journal.close()
+        persisted = False
+        for _ in range(4):
+            try:
+                if journal.last_snapshot_at != journal.events_recorded:
+                    # A parting checkpoint so rehydration replays O(1)
+                    # events, not O(events since the last cadence
+                    # snapshot).
+                    journal.snapshot(len(hosted.events) - 1, hosted.instance)
+                journal.store.sync()
+                persisted = True
+                break
+            except DiskFault:
+                continue  # the store self-heals; a new fault draw each try
+        if not persisted:
+            shard.runs[run_id] = hosted
+            return False
+        journal.close()
         self._evicted[run_id] = _EvictedRun(
             submitted=hosted.submitted,
             quarantined=hosted.quarantined,
@@ -849,6 +830,5 @@ class ShardedRunRegistry:
             "evictions": self.evictions,
             "rehydrations": self.rehydrations,
             "max_resident": self.max_resident,
-            "journal_dir": str(self.journal_dir) if self.journal_dir else None,
             "storage": self.storage.stats(),
         }

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import METRICS
@@ -70,7 +69,6 @@ class WorkflowService:
         self,
         program: WorkflowProgram,
         shards: int = 8,
-        journal_dir: Optional[Path] = None,
         queue_capacity: int = 64,
         snapshot_every: Optional[int] = 10,
         retry: Optional[RetryPolicy] = None,
@@ -90,17 +88,12 @@ class WorkflowService:
             if disk_fault_plan is not None and disk_fault_plan.any_rate
             else None
         )
-        if storage is not None and journal_dir is not None:
-            raise ServiceError("pass either storage= or journal_dir=, not both")
         if isinstance(storage, str):
             storage = open_backend(
                 storage,
                 durability=durability,
                 fault_injector=self.disk_fault_injector,
             )
-        elif storage is None and journal_dir is not None and durability is not None:
-            storage = open_backend(f"file:{journal_dir}", durability=durability)
-            journal_dir = None
         self.replication = None
         self._replica_stores: Dict[str, Any] = {}
         if replicate_to is not None:
@@ -109,9 +102,6 @@ class WorkflowService:
             # FIFO, to the follower at *replicate_to* (docs/CLUSTER.md).
             from ..cluster.replicate import ReplicatingBackend, ReplicationShipper
 
-            if journal_dir is not None:
-                storage = open_backend(f"file:{journal_dir}", durability=durability)
-                journal_dir = None
             if storage is None:
                 raise ServiceError(
                     "replication needs a storage backend "
@@ -122,7 +112,6 @@ class WorkflowService:
         self.registry = ShardedRunRegistry(
             program,
             shards=shards,
-            journal_dir=journal_dir,
             snapshot_every=snapshot_every,
             storage=storage,
             max_resident=max_resident,

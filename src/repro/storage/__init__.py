@@ -1,8 +1,8 @@
 """Pluggable run-record storage beneath the hosted-run service.
 
-See :mod:`repro.storage.backend` for the protocol and the memory/file
-backends, :mod:`repro.storage.segment` for the CRC-framed segmented
-log, and :mod:`repro.storage.sqlitestore` for the sqlite backend.
+See :mod:`repro.storage.backend` for the protocol, the one journal
+writer (:class:`RecordJournal`) and the memory/file backends, and
+:mod:`repro.storage.segment` for the CRC-framed segmented log.
 ``docs/STORAGE.md`` documents the record format, the compaction and
 eviction lifecycles, and the durability matrix.
 """
@@ -23,7 +23,6 @@ from .backend import (
     open_backend,
 )
 from .segment import SegmentBackend
-from .sqlitestore import SqliteBackend
 
 __all__ = [
     "CompactionStats",
@@ -33,7 +32,6 @@ __all__ = [
     "RecordJournal",
     "RunStore",
     "SegmentBackend",
-    "SqliteBackend",
     "StorageBackend",
     "StorageCorruptionError",
     "StorageError",

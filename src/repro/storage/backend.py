@@ -11,16 +11,19 @@ interfaces:
   all back (with torn-tail warnings), force a durability barrier,
   compact.
 
-Four implementations ship: :class:`MemoryBackend` (records in RAM — the
-default, preserving the pre-storage semantics where a process death
-loses unjournaled runs), :class:`FileBackend` (the legacy flat
+Three implementations ship: :class:`MemoryBackend` (records in RAM —
+the default, preserving the pre-storage semantics where a process death
+loses unjournaled runs), :class:`FileBackend` (the flat
 ``<dir>/<run>.journal`` JSON-lines layout, interoperable with ``repro
-recover --journal-dir``), :class:`~repro.storage.segment.SegmentBackend`
-(segmented log with per-record CRC framing, torn-write
-truncate-and-recover and manifest-atomic compaction) and
-:class:`~repro.storage.sqlitestore.SqliteBackend` (stdlib sqlite3).
-All four are proven bit-identical over random workloads by
-``tests/storage/test_equivalence.py``.
+recover --journal-dir``) and
+:class:`~repro.storage.segment.SegmentBackend` (segmented log with
+per-record CRC framing, torn-write truncate-and-recover and
+manifest-atomic compaction).  All three are proven bit-identical over
+random workloads by ``tests/storage/test_backend_equivalence.py``.
+
+:class:`RecordJournal` is the one writer of journal records: hosted
+runs, the supervisor, :func:`~repro.runtime.journal.journal_run` and
+``repro run --journal`` all append through it.
 
 Compaction is a pure record transform (:func:`compact_records`): all
 events and quarantines survive — they are the run's replayable evidence
@@ -69,6 +72,7 @@ __all__ = [
     "StorageCorruptionError",
     "StorageError",
     "compact_records",
+    "file_store",
     "kept_positions",
     "open_backend",
 ]
@@ -137,8 +141,7 @@ class DurabilityPolicy:
       power loss, at one disk round-trip per event;
     * ``"interval"`` — flush per record, fsync every ``interval``
       appends *and* at every barrier (snapshot, seal, compaction): a
-      power crash loses at most ``interval`` acknowledged events;
-    * ``"none"`` — no flush at all (benchmarking only).
+      power crash loses at most ``interval`` acknowledged events.
 
     See ``docs/STORAGE.md`` for the durability matrix.
     """
@@ -146,7 +149,7 @@ class DurabilityPolicy:
     mode: str = "flush"
     interval: int = 8
 
-    _MODES = ("none", "flush", "interval", "fsync")
+    _MODES = ("flush", "interval", "fsync")
 
     def __post_init__(self) -> None:
         if self.mode not in self._MODES:
@@ -171,10 +174,6 @@ class DurabilityPolicy:
             except ValueError:
                 raise StorageError(f"bad durability interval in {spec!r}") from None
         return cls(mode=mode)
-
-    @property
-    def flushes(self) -> bool:
-        return self.mode != "none"
 
     def wants_fsync(self, appends_since_sync: int, barrier: bool) -> bool:
         if self.mode == "fsync":
@@ -358,13 +357,13 @@ class StorageBackend:
 
 
 class RecordJournal:
-    """A :class:`~repro.runtime.journal.JournalWriter`-compatible emitter
-    over a :class:`RunStore`.
+    """The journal writer: the record format of
+    :mod:`repro.runtime.journal`, emitted into a :class:`RunStore`.
 
-    Same public surface (``begin`` / ``record_event`` / ``snapshot`` /
-    ``quarantine`` / ``end`` / ``observer`` / ``close``), but records go
-    to the store as dicts instead of JSON lines to a file — compaction
-    and CRC framing are the store's business.  ``compact_every``
+    ``begin`` / ``record_event`` / ``snapshot`` / ``quarantine`` /
+    ``end`` append one record each (``record_event`` also snapshots
+    every ``snapshot_every`` events when given the instance); encoding,
+    framing and durability are the store's business.  ``compact_every``
     triggers an automatic compaction after that many snapshots (0
     disables; compaction can still be forced via the store).
     """
@@ -440,6 +439,9 @@ class RecordJournal:
         self.store.sync()
 
     def observer(self) -> Callable[[int, Event, Instance], None]:
+        """An observer for :func:`repro.workflow.runs.execute`: journals
+        each event (with cadence snapshots) as the engine applies it."""
+
         def observe(index: int, event: Event, instance: Instance) -> None:
             self.record_event(index, event, instance)
 
@@ -539,36 +541,65 @@ class MemoryBackend(StorageBackend):
 
 
 # ----------------------------------------------------------------------
-# File backend (the legacy flat .journal layout, now storage-shaped)
+# File backend (one flat JSON-lines .journal file per run)
 # ----------------------------------------------------------------------
 
 
 class _FileStore(RunStore):
-    def __init__(self, backend: "FileBackend", run_id: str) -> None:
+    def __init__(self, backend: "FileBackend", run_id: str, path: Path) -> None:
         self.backend = backend
         self.run_id = run_id
-        self.path = journal_path(backend.root, run_id)
-        backend.root.mkdir(parents=True, exist_ok=True)
-        self._sink = open(self.path, "a", encoding="utf-8")
+        self.path = path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        #: Tail repairs performed when the store was opened; surfaced by
+        #: the next :meth:`read` so recovery paths can report them.
+        self._open_warnings: List[str] = self._recover_tail()
+        self._sink = open(path, "a", encoding="utf-8")
         self._appends_since_sync = 0
+
+    def _recover_tail(self) -> List[str]:
+        """Cut a torn final line off the file; the warnings.
+
+        The final line is whole only if it is newline-terminated and a
+        typed record, as a segment line must be: an append writes the
+        newline last, before the record is acknowledged.  A torn line
+        left in place would have the next append glued onto its bytes:
+        one glued record is lost, two make the line malformed mid-file.
+        """
+        data = self.path.read_bytes() if self.path.exists() else b""
+        if not data:
+            return []
+        start = data.rfind(b"\n", 0, len(data) - 1) + 1
+        if data.endswith(b"\n"):
+            try:
+                record = json.loads(data[start:])
+            except ValueError:  # undecodable JSON or bytes
+                record = None
+            if isinstance(record, dict) and "type" in record:
+                return []
+        with open(self.path, "r+b") as handle:
+            handle.truncate(start)
+        TAIL_RECOVERIES.labels(backend=self.backend.name).inc()
+        return [
+            f"truncated {self.path.name} to {start} valid bytes: "
+            "torn trailing line"
+        ]
 
     def append(self, record: Dict[str, Any]) -> None:
         if self._sink.closed:
             raise StorageError(f"store for run {self.run_id!r} is closed")
         self._sink.write(json.dumps(record, sort_keys=True) + "\n")
-        policy = self.backend.durability
-        if policy.flushes:
-            self._sink.flush()
+        self._sink.flush()
         self._appends_since_sync += 1
         barrier = record.get("type") in ("snapshot", "end")
-        if policy.wants_fsync(self._appends_since_sync, barrier):
+        if self.backend.durability.wants_fsync(self._appends_since_sync, barrier):
             self.sync()
 
     def read(self) -> PyTuple[List[Dict[str, Any]], List[str]]:
         self._sink.flush()
-        if not self.path.exists():
-            return [], []
-        return read_journal_ex(self.path)
+        warnings, self._open_warnings = self._open_warnings, []
+        records, dropped = read_journal_ex(self.path)
+        return records, warnings + dropped
 
     def sync(self) -> None:
         self._sink.flush()
@@ -580,8 +611,8 @@ class _FileStore(RunStore):
     def compact(self) -> CompactionStats:
         """Rewrite the journal file compacted, via tmp + atomic rename.
 
-        The legacy format stays legacy: plain JSON lines, readable by
-        ``repro recover --journal-dir`` before and after.
+        The format stays plain JSON lines, readable by ``repro recover
+        --journal-dir`` before and after.
         """
         self._sink.flush()
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
@@ -613,7 +644,8 @@ class _FileStore(RunStore):
             self._sink.close()
 
     def record_count(self) -> int:
-        return len(self.read()[0])
+        self._sink.flush()
+        return len(read_journal_ex(self.path)[0])
 
     def size_bytes(self) -> int:
         self._sink.flush()
@@ -621,12 +653,11 @@ class _FileStore(RunStore):
 
 
 class FileBackend(StorageBackend):
-    """The PR-2 journal-directory layout behind the storage protocol.
+    """The journal-directory layout behind the storage protocol.
 
-    One flat ``<dir>/<quoted run id>.journal`` JSON-lines file per run —
-    byte-compatible with what ``repro serve --journal-dir`` always
-    wrote, so ``repro recover --journal-dir`` and every existing journal
-    keep working unchanged.
+    One flat ``<dir>/<quoted run id>.journal`` JSON-lines file per run
+    (:func:`~repro.runtime.journal.journal_path`) — what ``repro serve
+    --journal-dir`` writes and ``repro recover --journal-dir`` reads.
     """
 
     name = "file"
@@ -645,7 +676,7 @@ class FileBackend(StorageBackend):
         return journal_path(self.root, run_id).exists()
 
     def store(self, run_id: str) -> _FileStore:
-        return _FileStore(self, run_id)
+        return _FileStore(self, run_id, journal_path(self.root, run_id))
 
     def run_ids(self) -> List[str]:
         if not self.root.is_dir():
@@ -671,6 +702,16 @@ class FileBackend(StorageBackend):
         }
 
 
+def file_store(path: Union[str, Path]) -> RunStore:
+    """A file store over the journal at *path*, whatever its name.
+
+    The :class:`FileBackend` record format outside the ``<dir>/<run
+    id>.journal`` layout: what ``repro run --journal FILE`` writes.
+    """
+    path = Path(path)
+    return _FileStore(FileBackend(path.parent), path.name, path)
+
+
 # ----------------------------------------------------------------------
 # Backend spec parsing (the CLI's --storage flag)
 # ----------------------------------------------------------------------
@@ -681,12 +722,11 @@ def open_backend(
     durability: Union[str, DurabilityPolicy, None] = None,
     fault_injector: Optional[Any] = None,
 ) -> StorageBackend:
-    """``"memory"`` / ``"file:DIR"`` / ``"segment:DIR"`` / ``"sqlite:PATH"``
-    → a backend.
+    """``"memory"`` / ``"file:DIR"`` / ``"segment:DIR"`` → a backend.
 
     *durability* applies to the disk backends; *fault_injector* (a
     :class:`~repro.runtime.faults.DiskFaultInjector`) is threaded into
-    the backends that support injected disk faults.
+    the segment backend, the one that supports injected disk faults.
     """
     if isinstance(spec, StorageBackend):
         return spec
@@ -699,17 +739,13 @@ def open_backend(
         raise StorageError(
             f"storage spec {spec!r} needs an argument, e.g. {kind}:<path>"
         )
-    if kind in ("file", "journal"):
+    if kind == "file":
         return FileBackend(arg, durability=durability)
     if kind == "segment":
         from .segment import SegmentBackend
 
         return SegmentBackend(arg, durability=durability, fault_injector=fault_injector)
-    if kind == "sqlite":
-        from .sqlitestore import SqliteBackend
-
-        return SqliteBackend(arg, durability=durability, fault_injector=fault_injector)
     raise StorageError(
         f"unknown storage backend {kind!r} "
-        "(expected memory, file:<dir>, segment:<dir> or sqlite:<path>)"
+        "(expected memory, file:<dir> or segment:<dir>)"
     )

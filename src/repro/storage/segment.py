@@ -353,15 +353,13 @@ class SegmentStore(RunStore):
                 "corrupt", f"injected corrupt trailing record in {self.run_id!r}"
             )
         self._sink.write(line)
-        policy = self.backend.durability
-        if policy.flushes:
-            self._sink.flush()
+        self._sink.flush()
         kind = record.get("type")
         if self._kinds is not None:
             self._kinds.append(kind)
         self._appends_since_sync += 1
         barrier = kind in ("snapshot", "end")
-        if policy.wants_fsync(self._appends_since_sync, barrier):
+        if self.backend.durability.wants_fsync(self._appends_since_sync, barrier):
             try:
                 self.sync()
             except DiskFault:

@@ -47,7 +47,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dataflow.graph import DeltaGraph
 from ..runtime.checkpoint import fast_recover
-from ..runtime.journal import MemorySink, journal_run, recover_run
+from ..runtime.journal import journal_run, recover_run
+from ..storage.backend import MemoryBackend
 from ..workflow.engine import apply_event_with_delta
 from ..workflow.enumerate import RunGenerator, applicable_events
 from ..workflow.eventindex import ApplicableEventIndex
@@ -515,14 +516,15 @@ def _check_recovery(program: WorkflowProgram, run: Run) -> PairOutcome:
     """Journal round-trip: full re-execution and the checkpoint fast path."""
     from ..core.explain import run_provenance
 
-    sink = MemorySink()
-    journal_run(run, sink, snapshot_every=4)
-    recovered = recover_run(program, sink)
+    store = MemoryBackend().store("fuzz")
+    journal_run(run, store, snapshot_every=4)
+    records, _ = store.read()
+    recovered = recover_run(program, records)
     if _run_fingerprint(program, recovered.run) != _run_fingerprint(program, run):
         return PairOutcome("recovery", False, "recover_run diverged from the live run")
     if run_provenance(recovered.run).to_dicts() != run_provenance(run).to_dicts():
         return PairOutcome("recovery", False, "recovered provenance diverged")
-    resumed = fast_recover(program, sink)
+    resumed = fast_recover(program, records)
     if _canonical_views(program, resumed.instance) != _canonical_views(
         program, run.final_instance
     ):

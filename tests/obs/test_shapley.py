@@ -11,7 +11,8 @@ from repro.obs.shapley import (
     shapley_values,
     view_game,
 )
-from repro.runtime.journal import MemorySink, journal_run, recover_run
+from repro.runtime.journal import journal_run, recover_run
+from repro.storage import MemoryBackend
 from repro.workflow import execute, parse_program
 from repro.workflow.enumerate import applicable_events
 from repro.workloads import get_family
@@ -200,9 +201,9 @@ class TestShapleyRank:
         run = family.run(seed=4, steps=8)
         before = shapley_rank(run, family.observer).to_dict()
 
-        sink = MemorySink()
-        journal_run(run, sink, snapshot_every=4)
-        recovered = recover_run(run.program, sink).run
+        store = MemoryBackend().store("run")
+        journal_run(run, store, snapshot_every=4)
+        recovered = recover_run(run.program, store.read()[0]).run
         after = shapley_rank(recovered, family.observer).to_dict()
         assert before == after
 

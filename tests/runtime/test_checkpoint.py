@@ -1,19 +1,12 @@
-"""Tests for snapshot policy and fast resume from a journal."""
+"""Tests for fast resume from a journal's latest checkpoint."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.runtime.checkpoint import (
-    CheckpointPolicy,
-    fast_recover,
-    latest_snapshot,
-    resume_state,
-    verify_snapshots,
-)
-from repro.runtime.journal import MemorySink, journal_run
+from repro.runtime.checkpoint import fast_recover
+from repro.runtime.journal import journal_run, recover_run
+from repro.storage import MemoryBackend
 from repro.workflow import RunGenerator
 from repro.workflow.errors import RecoveryError
 from repro.workloads import paper_examples
@@ -24,61 +17,10 @@ def hiring_run():
     return RunGenerator(paper_examples.hiring_program(), seed=3).random_run(7)
 
 
-class TestCheckpointPolicy:
-    def test_periodic_due(self):
-        policy = CheckpointPolicy(every_events=3)
-        assert [n for n in range(1, 10) if policy.due(n)] == [3, 6, 9]
-
-    def test_disabled(self):
-        assert not any(CheckpointPolicy(every_events=0).due(n) for n in range(1, 10))
-        assert not any(CheckpointPolicy(every_events=None).due(n) for n in range(1, 10))
-
-
-class TestLatestSnapshot:
-    def test_none_without_snapshots(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=None)
-        assert latest_snapshot(hiring_run.program, sink) is None
-
-    def test_picks_most_recent(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=2)
-        snapshot = latest_snapshot(hiring_run.program, sink)
-        assert snapshot is not None
-        assert snapshot.position == 6
-        assert snapshot.instance == hiring_run.instances[5]
-
-
-class TestResumeState:
-    @pytest.mark.parametrize("snapshot_every", [None, 1, 2, 5])
-    def test_resume_matches_final_instance(self, hiring_run, snapshot_every):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=snapshot_every)
-        instance, count = resume_state(hiring_run.program, sink)
-        assert count == len(hiring_run)
-        assert instance == hiring_run.final_instance
-
-    def test_missing_begin_raises(self, hiring_run):
-        with pytest.raises(RecoveryError, match="no begin record"):
-            resume_state(hiring_run.program, [{"type": "end"}])
-
-    def test_stale_tail_event_raises(self, hiring_run):
-        """A tail event that no longer applies is a recovery error."""
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=3)
-        # Duplicate the final event record: replaying it twice from the
-        # snapshot must fail the engine's applicability re-check.
-        event_lines = [l for l in sink.lines
-                       if json.loads(l)["type"] == "event"]
-        sink.lines.insert(len(sink.lines) - 1, event_lines[-1])
-        try:
-            instance, count = resume_state(hiring_run.program, sink)
-        except RecoveryError as exc:
-            assert "no longer applies on resume" in str(exc)
-        else:
-            # Some duplicated events are idempotently applicable; then
-            # the resume simply reflects one more journaled event.
-            assert count == len(hiring_run) + 1
+def journal_records(run, snapshot_every):
+    store = MemoryBackend().store("run")
+    journal_run(run, store, snapshot_every=snapshot_every)
+    return store.read()[0]
 
 
 class TestFastRecover:
@@ -89,9 +31,7 @@ class TestFastRecover:
         trusts the snapshot at event 20 and replays exactly 5 events."""
         program = paper_examples.hiring_program()
         run = RunGenerator(program, seed=7).random_run(25)
-        sink = MemorySink()
-        journal_run(run, sink, snapshot_every=10)
-        resumed = fast_recover(program, sink)
+        resumed = fast_recover(program, journal_records(run, 10))
         assert resumed.snapshot_position == 20
         assert resumed.engine_replayed == 5
         assert resumed.events_total == 25
@@ -102,21 +42,23 @@ class TestFastRecover:
         assert len(resumed.events) == 25
         assert resumed.initial == run.initial
 
+    @pytest.mark.parametrize("snapshot_every", [None, 1, 2, 5])
+    def test_resume_matches_final_instance(self, hiring_run, snapshot_every):
+        records = journal_records(hiring_run, snapshot_every)
+        resumed = fast_recover(hiring_run.program, records)
+        assert resumed.events_total == len(hiring_run)
+        assert resumed.instance == hiring_run.final_instance
+
     def test_without_snapshots_replays_everything(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=None)
-        resumed = fast_recover(hiring_run.program, sink)
+        resumed = fast_recover(hiring_run.program, journal_records(hiring_run, None))
         assert resumed.snapshot_position == 0
         assert resumed.engine_replayed == len(hiring_run)
         assert resumed.instance == hiring_run.final_instance
 
     def test_matches_full_recovery(self, hiring_run):
-        from repro.runtime.journal import recover_run
-
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=3)
-        resumed = fast_recover(hiring_run.program, sink)
-        recovered = recover_run(hiring_run.program, sink)
+        records = journal_records(hiring_run, 3)
+        resumed = fast_recover(hiring_run.program, records)
+        recovered = recover_run(hiring_run.program, records)
         assert resumed.instance == recovered.final_instance
         assert resumed.events_total == recovered.events_replayed
 
@@ -124,40 +66,36 @@ class TestFastRecover:
         with pytest.raises(RecoveryError, match="no begin record"):
             fast_recover(hiring_run.program, [{"type": "end"}])
 
-    def test_torn_tail_surfaces_as_warning(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=2)
-        sink.write('{"type": "event", "index": 99, "ev')
-        resumed = fast_recover(hiring_run.program, sink)
+    def test_stale_tail_event_raises(self, hiring_run):
+        """A tail event that no longer applies is a recovery error."""
+        records = journal_records(hiring_run, 3)
+        # Duplicate the final event record: replaying it twice from the
+        # snapshot must fail the engine's applicability re-check.
+        last_event = [r for r in records if r["type"] == "event"][-1]
+        records.insert(len(records) - 1, last_event)
+        try:
+            resumed = fast_recover(hiring_run.program, records)
+        except RecoveryError as exc:
+            assert "no longer applies on resume" in str(exc)
+        else:
+            # Some duplicated events are idempotently applicable; then
+            # the resume simply reflects one more journaled event.
+            assert resumed.events_total == len(hiring_run) + 1
+
+    def test_torn_tail_surfaces_as_warning(self, hiring_run, tmp_path):
+        path = tmp_path / "run.journal"
+        journal_run(hiring_run, path, snapshot_every=2)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "event", "index": 99, "ev')
+        resumed = fast_recover(hiring_run.program, path)
         assert resumed.events_total == len(hiring_run)
         assert len(resumed.warnings) == 1
         assert "torn trailing line" in resumed.warnings[0]
 
     def test_incomplete_journal_resumes_prefix(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=2)
-        sink.lines = [l for l in sink.lines  # drop the end record
-                      if json.loads(l)["type"] != "end"]
-        resumed = fast_recover(hiring_run.program, sink)
+        records = [r for r in journal_records(hiring_run, 2)  # drop the end
+                   if r["type"] != "end"]
+        resumed = fast_recover(hiring_run.program, records)
         assert not resumed.complete
         assert resumed.status is None
         assert resumed.instance == hiring_run.final_instance
-
-
-class TestVerifySnapshots:
-    def test_counts_verified(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=2)
-        assert verify_snapshots(hiring_run.program, sink) == 3
-
-    def test_divergence_raises(self, hiring_run):
-        sink = MemorySink()
-        journal_run(hiring_run, sink, snapshot_every=2)
-        for position, line in enumerate(sink.lines):
-            record = json.loads(line)
-            if record["type"] == "snapshot":
-                record["instance"] = {}
-                sink.lines[position] = json.dumps(record) + "\n"
-                break
-        with pytest.raises(RecoveryError):
-            verify_snapshots(hiring_run.program, sink)

@@ -2,41 +2,50 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.journal import (
-    JournalWriter,
-    MemorySink,
     journal_run,
     read_journal,
     read_journal_ex,
     recover_run,
 )
+from repro.storage import FileBackend, MemoryBackend, RecordJournal, StorageError
 from repro.workflow import RunGenerator, instances_isomorphic
 from repro.workflow.errors import JournalError, RecoveryError
 from repro.workloads import paper_examples
 
+TORN = '{"type": "event", "index": 99, "ev'  # a crash mid-write
+
+
+def memory_records(run, snapshot_every=10):
+    """The records :func:`journal_run` writes, via a memory store."""
+    store = MemoryBackend().store("run")
+    journal_run(run, store, snapshot_every=snapshot_every)
+    return store.read()[0]
+
+
+def torn_file(run, tmp_path):
+    """A file journal of *run* whose write of one more record was torn."""
+    path = tmp_path / "run.journal"
+    journal_run(run, path, snapshot_every=None)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(TORN)
+    return path
+
 
 class TestReadJournal:
     def test_round_trip_records(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=2)
-        records = read_journal(sink)
-        kinds = [r["type"] for r in records]
+        kinds = [r["type"] for r in memory_records(approval_run, snapshot_every=2)]
         assert kinds[0] == "begin"
         assert kinds[-1] == "end"
         assert kinds.count("event") == 4
         assert kinds.count("snapshot") == 2  # after events 2 and 4
 
-    def test_torn_tail_line_dropped(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=None)
-        sink.write('{"type": "event", "index": 99, "ev')  # crash mid-write
-        records = read_journal(sink)
+    def test_torn_tail_line_dropped(self, approval_run, tmp_path):
+        records = read_journal(torn_file(approval_run, tmp_path))
         assert all(r.get("index") != 99 for r in records)
 
     def test_malformed_interior_line_raises(self):
@@ -56,25 +65,22 @@ class TestReadJournal:
         assert len(read_journal(path)) >= 6  # begin + 4 events + end
 
     def test_writer_rejects_use_after_close(self):
-        writer = JournalWriter(MemorySink())
+        writer = RecordJournal(MemoryBackend().store("run"))
         writer.close()
-        with pytest.raises(JournalError, match="closed"):
+        with pytest.raises(StorageError, match="closed"):
             writer.end()
 
 
 class TestReadJournalEx:
-    def test_clean_journal_has_no_warnings(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=None)
-        records, warnings = read_journal_ex(sink)
+    def test_clean_journal_has_no_warnings(self, approval_run, tmp_path):
+        path = tmp_path / "run.journal"
+        journal_run(approval_run, path, snapshot_every=None)
+        records, warnings = read_journal_ex(path)
         assert warnings == []
         assert records[-1]["type"] == "end"
 
-    def test_torn_tail_is_reported_not_raised(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=None)
-        sink.write('{"type": "event", "index": 99, "ev')
-        records, warnings = read_journal_ex(sink)
+    def test_torn_tail_is_reported_not_raised(self, approval_run, tmp_path):
+        records, warnings = read_journal_ex(torn_file(approval_run, tmp_path))
         assert all(r.get("index") != 99 for r in records)
         assert len(warnings) == 1
         assert "torn trailing line" in warnings[0]
@@ -88,50 +94,53 @@ class TestReadJournalEx:
 
 
 class TestFsyncContract:
-    """``fsync=True`` upgrades flush-per-record to fsync-per-record."""
+    """``fsync`` durability upgrades flush-per-record to fsync-per-record."""
 
-    def test_fsync_called_once_per_record(self, approval_run, tmp_path, monkeypatch):
-        import os as os_module
-
+    @staticmethod
+    def count_fsyncs(monkeypatch):
         synced = []
         monkeypatch.setattr(
-            "repro.runtime.journal.os.fsync", lambda fd: synced.append(fd)
+            "repro.storage.backend.os.fsync", lambda fd: synced.append(fd)
         )
-        path = tmp_path / "run.journal"
-        writer = JournalWriter(path, snapshot_every=None, fsync=True)
+        return synced
+
+    def test_fsync_called_once_per_record(self, approval_run, tmp_path, monkeypatch):
+        synced = self.count_fsyncs(monkeypatch)
+        backend = FileBackend(tmp_path, durability="fsync")
+        writer = RecordJournal(backend.store("run"), snapshot_every=None)
         writer.begin(approval_run.initial)
         for index, event in enumerate(approval_run.events):
             writer.record_event(index, event)
         writer.end()
         writer.close()
-        # begin + 4 events + end: one barrier per acknowledged record.
-        assert len(synced) == 6
-        assert len(read_journal(path)) == 6
+        # begin + 4 events + end: one barrier per acknowledged record,
+        # plus the explicit barrier that `end` (the seal) always takes.
+        per_record, seal = 6, 1
+        assert len(synced) == per_record + seal
+        assert len(backend.read_records("run")[0]) == per_record
 
     def test_default_is_flush_only(self, approval_run, tmp_path, monkeypatch):
-        synced = []
-        monkeypatch.setattr(
-            "repro.runtime.journal.os.fsync", lambda fd: synced.append(fd)
-        )
-        writer = JournalWriter(tmp_path / "run.journal")
+        synced = self.count_fsyncs(monkeypatch)
+        writer = RecordJournal(FileBackend(tmp_path).store("run"))
         writer.begin(approval_run.initial)
         writer.close()
         assert synced == []
 
-    def test_fsync_ignored_for_memory_sinks(self, approval_run):
-        # MemorySink has no file descriptor; the flag must be a no-op.
-        sink = MemorySink()
-        writer = JournalWriter(sink, fsync=True)
+    def test_fsync_ignored_for_memory_sinks(self, approval_run, monkeypatch):
+        # A memory store has no file descriptor; its barrier is a no-op.
+        synced = self.count_fsyncs(monkeypatch)
+        store = MemoryBackend().store("run")
+        writer = RecordJournal(store)
         writer.begin(approval_run.initial)
         writer.end()
-        assert len(read_journal(sink)) == 2
+        assert synced == []
+        assert len(store.read()[0]) == 2
 
 
 class TestRecoverRun:
     def test_complete_round_trip(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=2)
-        recovered = recover_run(approval_run.program, sink)
+        records = memory_records(approval_run, snapshot_every=2)
+        recovered = recover_run(approval_run.program, records)
         assert recovered.complete
         assert recovered.status == "completed"
         assert recovered.events_replayed == 4
@@ -160,29 +169,18 @@ class TestRecoverRun:
         # program is propositional), so an emptied snapshot diverges.
         program = paper_examples.hiring_program()
         run = RunGenerator(program, seed=0).random_run(4)
-        sink = MemorySink()
-        journal_run(run, sink, snapshot_every=2)
-        tampered = False
-        for position, line in enumerate(sink.lines):
-            record = json.loads(line)
-            if record["type"] == "snapshot":
-                assert record["instance"], "want a non-trivial snapshot"
-                record["instance"] = {}
-                sink.lines[position] = json.dumps(record) + "\n"
-                tampered = True
-                break
-        assert tampered
+        records = memory_records(run, snapshot_every=2)
+        snapshot = next(r for r in records if r["type"] == "snapshot")
+        assert snapshot["instance"], "want a non-trivial snapshot"
+        snapshot["instance"] = {}
         with pytest.raises(RecoveryError, match="diverges from replay"):
-            recover_run(program, sink)
+            recover_run(program, records)
         # ... unless verification is explicitly waived.
-        recovered = recover_run(program, sink, verify_snapshots=False)
+        recovered = recover_run(program, records, verify_snapshots=False)
         assert recovered.events_replayed == len(run)
 
-    def test_torn_tail_surfaces_as_warning(self, approval_run):
-        sink = MemorySink()
-        journal_run(approval_run, sink, snapshot_every=None)
-        sink.write('{"type": "event", "index": 99, "ev')
-        recovered = recover_run(approval_run.program, sink)
+    def test_torn_tail_surfaces_as_warning(self, approval_run, tmp_path):
+        recovered = recover_run(approval_run.program, torn_file(approval_run, tmp_path))
         assert recovered.events_replayed == 4
         assert recovered.final_instance == approval_run.final_instance
         assert len(recovered.warnings) == 1
@@ -192,12 +190,12 @@ class TestRecoverRun:
         from repro.workflow import Event, execute
 
         run = execute(approval, [Event(approval.rule("e"), {})])
-        sink = MemorySink()
-        writer = JournalWriter(sink)
+        store = MemoryBackend().store("run")
+        writer = RecordJournal(store)
         writer.begin(run.initial)
         writer.record_event(0, run.events[0], run.instances[0])
         # No end record: the process died here.
-        recovered = recover_run(approval, sink)
+        recovered = recover_run(approval, store.read()[0])
         assert not recovered.complete
         assert recovered.status is None
         assert recovered.events_replayed == 1
@@ -211,9 +209,7 @@ class TestJournalProperty:
         """Any journaled random run recovers to an isomorphic final instance."""
         program = paper_examples.hiring_program()
         run = RunGenerator(program, seed=seed).random_run(steps)
-        sink = MemorySink()
-        journal_run(run, sink, snapshot_every=snapshot_every)
-        recovered = recover_run(program, sink)
+        recovered = recover_run(program, memory_records(run, snapshot_every))
         assert recovered.complete
         assert recovered.events_replayed == len(run)
         assert recovered.final_instance == run.final_instance

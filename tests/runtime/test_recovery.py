@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.faults import CrashFault, FaultInjector, FaultPlan
-from repro.runtime.journal import JournalWriter, MemorySink, recover_run
+from repro.runtime.journal import recover_run
 from repro.runtime.supervisor import Supervisor
+from repro.storage import MemoryBackend, RecordJournal
 from repro.workflow import Event, RunGenerator, execute, instances_isomorphic
 from repro.workloads import paper_examples
 
@@ -23,9 +24,9 @@ def run_with_recovery(program, events, plan, initial=None, max_crashes=10):
     prefix, and resumes from where the journal left off.
     """
     injector = FaultInjector(plan)
-    sink = MemorySink()
+    store = MemoryBackend().store("run")
     supervisor = Supervisor(
-        program, journal=JournalWriter(sink), fault_injector=injector
+        program, journal=RecordJournal(store), fault_injector=injector
     )
     crashes = 0
     applied_before = 0  # events applied in earlier (crashed) segments
@@ -36,14 +37,15 @@ def run_with_recovery(program, events, plan, initial=None, max_crashes=10):
     except CrashFault:
         crashes += 1
     while crashes <= max_crashes:
-        # The journal sink survives the crash; everything else is rebuilt.
-        recovered = recover_run(program, sink)
+        # The journal's store survives the crash; everything else is
+        # rebuilt.
+        recovered = recover_run(program, store.read()[0])
         assert recovered.status == "crashed"
         applied_before += recovered.events_replayed
         remaining = remaining[recovered.events_replayed :]
-        sink = MemorySink()
+        store = MemoryBackend().store("run")
         supervisor = Supervisor(
-            program, journal=JournalWriter(sink), fault_injector=injector
+            program, journal=RecordJournal(store), fault_injector=injector
         )
         try:
             result = supervisor.execute(remaining, initial=recovered.final_instance)
@@ -62,14 +64,14 @@ class TestDeterministicCrash:
         plan = FaultPlan(crash_at_event=crash_at)
 
         injector = FaultInjector(plan)
-        sink = MemorySink()
+        store = MemoryBackend().store("run")
         supervisor = Supervisor(
-            approval, journal=JournalWriter(sink), fault_injector=injector
+            approval, journal=RecordJournal(store), fault_injector=injector
         )
         with pytest.raises(CrashFault):
             supervisor.execute(events)
 
-        recovered = recover_run(approval, sink)
+        recovered = recover_run(approval, store.read()[0])
         assert recovered.status == "crashed"
         assert not recovered.complete
         assert recovered.events_replayed == crash_at

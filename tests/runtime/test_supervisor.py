@@ -7,7 +7,7 @@ import pytest
 from repro.core import is_scenario
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.journal import JournalWriter, MemorySink, read_journal
+from repro.runtime.journal import recover_run
 from repro.runtime.supervisor import (
     RetryPolicy,
     SupervisedRun,
@@ -15,6 +15,7 @@ from repro.runtime.supervisor import (
     anytime_minimum_scenario,
     anytime_reachable_states,
 )
+from repro.storage import MemoryBackend, RecordJournal
 from repro.workflow import Event, execute
 from repro.workflow.statespace import StateSpaceExplorer
 
@@ -25,6 +26,12 @@ def approval_events(approval):
 
 def no_sleep_policy(**kwargs):
     return RetryPolicy(sleep=lambda _: None, **kwargs)
+
+
+def memory_journal(snapshot_every=10):
+    """A journal over a fresh memory store: ``(journal, store)``."""
+    store = MemoryBackend().store("run")
+    return RecordJournal(store, snapshot_every=snapshot_every), store
 
 
 class TestRetry:
@@ -91,15 +98,15 @@ class TestQuarantine:
 
     def test_quarantine_is_journaled(self, approval):
         plan = FaultPlan(poison_rate=1.0)
-        sink = MemorySink()
+        journal, store = memory_journal()
         supervisor = Supervisor(
             approval,
             retry=no_sleep_policy(max_attempts=2),
-            journal=JournalWriter(sink),
+            journal=journal,
             fault_injector=FaultInjector(plan),
         )
         supervisor.execute(approval_events(approval)[:2])
-        kinds = [r["type"] for r in read_journal(sink)]
+        kinds = [r["type"] for r in store.read()[0]]
         assert kinds == ["begin", "quarantine", "quarantine", "end"]
 
     def test_inapplicable_event_quarantined_without_injection(self, approval):
@@ -123,12 +130,10 @@ class TestBudgetedExecution:
         assert result.degraded
 
     def test_truncation_is_journaled(self, approval):
-        sink = MemorySink()
-        supervisor = Supervisor(
-            approval, budget=Budget(max_steps=2), journal=JournalWriter(sink)
-        )
+        journal, store = memory_journal()
+        supervisor = Supervisor(approval, budget=Budget(max_steps=2), journal=journal)
         supervisor.execute(approval_events(approval))
-        end = read_journal(sink)[-1]
+        end = store.read()[0][-1]
         assert end["type"] == "end"
         assert end["status"] == "truncated"
         assert "step budget" in end["reason"]
@@ -185,27 +190,23 @@ class TestAnytimeExploration:
 class TestJournalIntegration:
     def test_supervised_run_replayable(self, approval):
         """The journal of a clean supervised run replays to the same state."""
-        from repro.runtime.journal import recover_run
-
-        sink = MemorySink()
-        supervisor = Supervisor(approval, journal=JournalWriter(sink, snapshot_every=2))
+        journal, store = memory_journal(snapshot_every=2)
+        supervisor = Supervisor(approval, journal=journal)
         result = supervisor.execute(approval_events(approval))
-        recovered = recover_run(approval, sink)
+        recovered = recover_run(approval, store.read()[0])
         assert recovered.complete
         assert recovered.final_instance == result.run.final_instance
 
     def test_observer_journals_engine_runs(self, approval):
         """`execute(observer=...)` journals without a supervisor."""
-        from repro.runtime.journal import recover_run
-
-        sink = MemorySink()
+        journal, store = memory_journal(snapshot_every=2)
         events = approval_events(approval)
-        with JournalWriter(sink, snapshot_every=2) as writer:
+        with journal as writer:
             initial = execute(approval, []).initial
             writer.begin(initial)
             run = execute(approval, events, observer=writer.observer())
             writer.end("completed")
-        recovered = recover_run(approval, sink)
+        recovered = recover_run(approval, store.read()[0])
         assert recovered.complete
         assert recovered.events_replayed == 4
         assert recovered.final_instance == run.final_instance

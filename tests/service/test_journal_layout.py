@@ -8,9 +8,9 @@ from repro.runtime.journal import (
     JOURNAL_SUFFIX,
     JournalError,
     journal_path,
-    list_journals,
     run_id_from_path,
 )
+from repro.storage import FileBackend
 
 
 class TestJournalPathConvention:
@@ -40,11 +40,9 @@ class TestJournalPathConvention:
             run_id_from_path(tmp_path / "notes.txt")
 
     def test_list_journals(self, tmp_path):
-        assert list_journals(tmp_path / "missing") == {}
+        # The file backend lists a journal directory by this convention.
+        assert FileBackend(tmp_path / "missing").run_ids() == []
         for run_id in ("r1", "r2", "spaced id"):
             journal_path(tmp_path, run_id).write_text("")
         (tmp_path / "README").write_text("not a journal")
-        found = list_journals(tmp_path)
-        assert sorted(found) == ["r1", "r2", "spaced id"]
-        for run_id, path in found.items():
-            assert path == journal_path(tmp_path, run_id)
+        assert FileBackend(tmp_path).run_ids() == ["r1", "r2", "spaced id"]

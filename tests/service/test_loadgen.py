@@ -56,7 +56,7 @@ class TestLoadgen:
         report = drive(
             program,
             dict(
-                journal_dir=tmp_path,
+                storage=f"file:{tmp_path}",
                 fault_plan=FaultPlan(
                     seed=13, crash_rate=0.08, transient_rate=0.08, poison_rate=0.02
                 ),
@@ -102,7 +102,7 @@ class TestLoadgen:
         report = drive(
             program,
             dict(
-                journal_dir=tmp_path,
+                storage=f"file:{tmp_path}",
                 batch_size=4,
                 fault_plan=FaultPlan(
                     seed=17, crash_rate=0.08, transient_rate=0.08, poison_rate=0.02

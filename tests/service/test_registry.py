@@ -6,9 +6,10 @@ import asyncio
 
 import pytest
 
-from repro.runtime.journal import journal_path, list_journals, recover_run
+from repro.runtime.journal import journal_path, recover_run
 from repro.service.errors import DuplicateRunError, ServiceError, UnknownRunError
 from repro.service.registry import ShardedRunRegistry
+from repro.storage import FileBackend
 from repro.workflow import Event, FreshValue, RunGenerator, Var, execute
 from repro.workloads.generators import churn_program
 
@@ -72,7 +73,7 @@ class TestJournalDurability:
         run = RunGenerator(program, seed=5).random_run(12)
 
         async def first_life():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, _ = await registry.open("r")
             for event in run.events:
                 hosted.apply(event)
@@ -80,7 +81,7 @@ class TestJournalDurability:
             return hosted.instance
 
         async def second_life():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, recovered = await registry.open("r")
             assert recovered
             return hosted.instance, hosted.applied
@@ -95,13 +96,13 @@ class TestJournalDurability:
         run = RunGenerator(program, seed=9).random_run(10)
 
         async def scenario():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, _ = await registry.open("r")
             for event in run.events:
                 hosted.apply(event)
             await registry.close("r", status="suspended")
 
-            reborn = ShardedRunRegistry(program, journal_dir=tmp_path)
+            reborn = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, recovered = await reborn.open("r")
             assert recovered
             for peer in program.schema.peers:
@@ -117,17 +118,18 @@ class TestJournalDurability:
         program = churn_program()
 
         async def scenario():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             for run_id in ("plain", "with space", "nested/run:id"):
                 hosted, _ = await registry.open(run_id)
                 hosted.apply(make_event(program, hash(run_id) % 100))
                 await registry.close(run_id)
 
         asyncio.run(scenario())
-        found = list_journals(tmp_path)
-        assert sorted(found) == ["nested/run:id", "plain", "with space"]
-        for run_id, path in found.items():
-            assert path == journal_path(tmp_path, run_id)
+        found = FileBackend(tmp_path).run_ids()
+        assert found == ["nested/run:id", "plain", "with space"]
+        for run_id in found:
+            path = journal_path(tmp_path, run_id)
+            assert path.is_file()
             recovered = recover_run(program, path)
             assert recovered.status == "completed"
             assert recovered.events_replayed == 1
@@ -136,7 +138,7 @@ class TestJournalDurability:
         program = churn_program()
 
         async def scenario():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, _ = await registry.open("r")
             events = [make_event(program, i) for i in range(6)]
             for event in events[:4]:

@@ -163,7 +163,9 @@ class TestInlinePath:
         assert len(events) > 10
 
         async def scenario(fault_plan, root):
-            service = WorkflowService(program, journal_dir=root, fault_plan=fault_plan)
+            service = WorkflowService(
+                program, storage=f"file:{root}", fault_plan=fault_plan
+            )
             return await drive(service, events)
 
         inline = asyncio.run(scenario(None, tmp_path / "inline"))
@@ -228,7 +230,7 @@ class TestInlinePath:
         poison = kill_event(program, 0)
 
         async def scenario():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             broker = EventBroker(
                 registry,
                 retry=RetryPolicy(max_attempts=max_attempts, initial_backoff=0.001),

@@ -14,7 +14,7 @@ import asyncio
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.service.registry import ShardedRunRegistry
-from repro.storage import FileBackend, MemoryBackend, SegmentBackend, SqliteBackend
+from repro.storage import FileBackend, MemoryBackend, SegmentBackend
 from repro.workflow import Event, FreshValue, RunGenerator, Var
 from repro.workloads.generators import churn_program
 
@@ -113,7 +113,6 @@ def test_all_backends_equivalent_to_memory(tmp_path_factory, count, seed, snapsh
     for factory in (
         lambda: FileBackend(tmp / "file"),
         lambda: SegmentBackend(tmp / "seg", segment_bytes=2048),
-        lambda: SqliteBackend(tmp / "store.db"),
     ):
         assert drive(events, factory(), snapshot_every) == reference
 

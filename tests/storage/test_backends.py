@@ -10,7 +10,6 @@ from repro.storage import (
     FileBackend,
     MemoryBackend,
     SegmentBackend,
-    SqliteBackend,
     StorageError,
     compact_records,
     open_backend,
@@ -19,16 +18,14 @@ from repro.workflow import Event, FreshValue, Var
 from repro.workloads.generators import churn_program
 
 
-@pytest.fixture(params=["memory", "file", "segment", "sqlite"])
+@pytest.fixture(params=["memory", "file", "segment"])
 def backend(request, tmp_path):
     if request.param == "memory":
         yield MemoryBackend()
     elif request.param == "file":
         yield FileBackend(tmp_path / "file")
-    elif request.param == "segment":
-        yield SegmentBackend(tmp_path / "seg")
     else:
-        yield SqliteBackend(tmp_path / "store.db")
+        yield SegmentBackend(tmp_path / "seg")
 
 
 def sample_records(program, events=5):
@@ -140,20 +137,21 @@ class TestOpenBackend:
     def test_specs(self, tmp_path):
         assert open_backend("memory").name == "memory"
         assert open_backend(f"file:{tmp_path/'f'}").name == "file"
-        assert open_backend(f"journal:{tmp_path/'j'}").name == "file"
         assert open_backend(f"segment:{tmp_path/'s'}").name == "segment"
-        assert open_backend(f"sqlite:{tmp_path/'db'}").name == "sqlite"
 
     def test_passthrough_and_bad_spec(self, tmp_path):
         backend = MemoryBackend()
         assert open_backend(backend) is backend
-        with pytest.raises(StorageError):
-            open_backend("bogus:where")
+        # sqlite and the journal: alias of file: are gone, not aliased.
+        for spec in ("bogus:where", f"sqlite:{tmp_path/'db'}", f"journal:{tmp_path/'j'}"):
+            with pytest.raises(StorageError):
+                open_backend(spec)
 
     def test_durability_parse(self):
         assert DurabilityPolicy.parse(None).mode == "flush"
         assert DurabilityPolicy.parse("fsync").mode == "fsync"
         policy = DurabilityPolicy.parse("interval:32")
         assert policy.mode == "interval" and policy.interval == 32
-        with pytest.raises(StorageError):
-            DurabilityPolicy.parse("umbrella")
+        for spec in ("umbrella", "none"):
+            with pytest.raises(StorageError):
+                DurabilityPolicy.parse(spec)

@@ -9,6 +9,8 @@ disk and must observe exactly what the live run acknowledged.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.runtime.faults import DiskFault, DiskFaultInjector, DiskFaultPlan
@@ -16,12 +18,13 @@ from repro.runtime.journal import (
     begin_record,
     end_record,
     event_record,
+    journal_path,
     snapshot_record,
 )
+from repro.service.registry import ShardedRunRegistry
 from repro.storage import (
     RecordJournal,
     SegmentBackend,
-    SqliteBackend,
     compact_records,
 )
 from repro.storage.segment import _scan_segment
@@ -95,17 +98,13 @@ class TestSchedules:
         assert injector.injected == {"short_write": 1}
 
 
-@pytest.mark.parametrize("backend_kind", ["segment", "sqlite"])
+# The segment store is the backend that takes injected disk faults.
+@pytest.mark.parametrize("backend_kind", ["segment"])
 @pytest.mark.parametrize("fault", ["enospc", "short_write", "corrupt"])
 class TestAppendFaults:
-    def _backend(self, kind, tmp_path, injector):
-        if kind == "segment":
-            return SegmentBackend(tmp_path / "seg", fault_injector=injector)
-        return SqliteBackend(tmp_path / "store.db", fault_injector=injector)
-
     def test_retry_after_fault_leaves_no_duplicate(self, tmp_path, backend_kind, fault):
         program, run, records = run_records()
-        backend = self._backend(backend_kind, tmp_path, one_shot(fault))
+        backend = SegmentBackend(tmp_path / "seg", fault_injector=one_shot(fault))
         store = backend.store("r1")
         try:
             store.append(records[0])
@@ -210,16 +209,63 @@ class TestJournalFaultContainment:
         assert len(events) == 4
         assert [r["index"] for r in events] == [0, 1, 2, 3]
 
-    def test_sqlite_buried_damage_is_repaired_before_the_next_append(self, tmp_path):
-        """Regression: a corrupt fault commits a bad trailing row; the
-        retry must repair it first, not bury it mid-history where read()
-        refuses to heal."""
-        program, run, records = run_records()
-        backend = SqliteBackend(tmp_path / "db", fault_injector=one_shot("corrupt"))
-        store = backend.store("r1")
+
+def tear_tail(kind, root):
+    """Append half a record line to run "r"'s journal: what a crash in
+    the middle of an append leaves behind."""
+    if kind == "file":
+        path = journal_path(root, "r")
+    else:
+        path = sorted((root / "r").glob("seg-*.log"))[-1]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('0badc0de {"type": "event", "index": 3, "ev')
+
+
+@pytest.mark.parametrize("kind", ["file", "segment"])
+@pytest.mark.parametrize("more", [1, 2])
+def test_events_acknowledged_after_a_torn_tail_survive(tmp_path, kind, more):
+    """Reopening a store cuts its torn final line off.  Otherwise the
+    next acknowledged record is glued onto the torn bytes: one such
+    event is lost at the next recovery, two make the journal unreadable."""
+    program = churn_program()
+    events = [make_event(program, i) for i in range(3 + more)]
+    root = tmp_path / kind
+
+    async def life(todo):
+        # No close: each life ends like a process death.
+        registry = ShardedRunRegistry(program, storage=f"{kind}:{root}")
+        hosted, _ = await registry.open("r")
+        for event in todo:
+            hosted.apply(event)
+        return hosted
+
+    asyncio.run(life(events[:3]))
+    tear_tail(kind, root)
+    reopened = asyncio.run(life(events[3:]))
+    assert reopened.applied == 3 + more
+    assert reopened.recovery_warnings  # the torn line, reported
+    recovered = asyncio.run(life([]))
+    assert recovered.applied == 3 + more
+    assert recovered.instance == execute(program, events).final_instance
+
+
+def test_refused_open_leaves_the_run_id_openable(tmp_path):
+    """An open whose begin record never lands leaves nothing behind that
+    a later open of the same id would have to recover."""
+    program = churn_program()
+    failing = DiskFaultInjector(DiskFaultPlan(enospc_rate=1.0))
+    backend = SegmentBackend(tmp_path, fault_injector=failing)
+
+    async def scenario():
+        registry = ShardedRunRegistry(program, storage=backend)
         with pytest.raises(DiskFault):
-            store.append(records[0])
-        for record in records:
-            store.append(record)
-        got, warnings = store.read()  # must not raise StorageCorruptionError
-        assert got == records
+            await registry.open("r")
+        assert not backend.exists("r")
+        backend.fault_injector = None
+        hosted, recovered = await registry.open("r")
+        assert not recovered
+        hosted.apply(make_event(program, 0))
+        await registry.close("r")
+
+    asyncio.run(scenario())
+    assert backend.read_records("r")[0][-1]["type"] == "end"

@@ -264,6 +264,39 @@ class TestJournalAndRecover:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_refuses_a_journal_that_holds_records(
+        self, program_file, tmp_path, capsys
+    ):
+        """A second run must not append a second begin record."""
+        journal = tmp_path / "run.journal"
+        argv = ["run", program_file, "--steps", "4", "--seed", "0",
+                "--journal", str(journal)]
+        assert main(argv) == 0
+        written = journal.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "already holds records" in captured.err
+        assert "run journal written" not in captured.out
+        assert journal.read_bytes() == written
+        assert main(["recover", program_file, "--journal", str(journal)]) == 0
+
+    def test_journal_bytes_are_pinned(self, program_file, tmp_path, capsys):
+        """The journal `run --journal` writes, byte for byte: the record
+        format, key order, cadence snapshots and no compaction."""
+        import hashlib
+
+        journal = tmp_path / "run.journal"
+        assert main(
+            ["run", program_file, "--steps", "6", "--seed", "1",
+             "--snapshot-every", "2", "--journal", str(journal)]
+        ) == 0
+        data = journal.read_bytes()
+        assert data.count(b"\n") == 11
+        assert hashlib.sha256(data).hexdigest() == (
+            "293bc8d394ab4fe5b7908c25b71d68a550c15b245096af9452ca088980e21028"
+        )
+
 
 class TestGlobalBudget:
     def test_tripped_budget_exits_three(self, program_file, capsys):
@@ -344,7 +377,7 @@ class TestServiceCommands:
         run = RunGenerator(program, seed=3).random_run(5)
 
         async def host():
-            registry = ShardedRunRegistry(program, journal_dir=tmp_path)
+            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
             hosted, _ = await registry.open("cli run/1")
             for event in run.events:
                 hosted.apply(event)
@@ -428,7 +461,7 @@ class TestStorageCommands:
         asyncio.run(host())
         return program
 
-    @pytest.mark.parametrize("scheme", ["segment", "sqlite"])
+    @pytest.mark.parametrize("scheme", ["segment", "file"])
     def test_recover_from_storage_backend(
         self, scheme, program_file, tmp_path, capsys
     ):
@@ -491,7 +524,7 @@ class TestStorageCommands:
     def test_compact_then_recover_is_lossless(
         self, program_file, tmp_path, capsys
     ):
-        spec = f"sqlite:{tmp_path / 'store.db'}"
+        spec = f"file:{tmp_path / 'store'}"
         self._host_run(spec, events=8, snapshot_every=2)
         assert main(["compact", "--storage", spec, "--run-id", "r1"]) == 0
         capsys.readouterr()
