@@ -18,9 +18,10 @@ Collaborative Workflows"* (Abiteboul, Bourhis, Vianu; PODS 2018):
 * :mod:`repro.workloads` — the paper's running examples and synthetic
   workload families.
 
-Quickstart::
+The public API is :mod:`repro.api`; this package exports nothing but
+``__version__`` and its subpackages.  Quickstart::
 
-    from repro import parse_program, RunGenerator, explain_run
+    from repro.api import parse_program, RunGenerator, explain_run
 
     program = parse_program('''
         peers hr, sue
@@ -33,157 +34,11 @@ Quickstart::
     print(explain_run(run, "sue").to_text())
 """
 
-from .core import (
-    EventSubsequence,
-    Explanation,
-    FaithfulScenario,
-    FaithfulSemiring,
-    FaithfulnessAnalysis,
-    IncrementalExplainer,
-    LifecycleIndex,
-    explain_event,
-    explain_run,
-    greedy_scenario,
-    is_faithful_scenario,
-    is_minimal_scenario,
-    is_scenario,
-    minimal_faithful_scenario,
-    minimum_scenario,
-)
-from .design import (
-    TransparencyEnforcer,
-    add_stage_infrastructure,
-    analyze_acyclicity,
-    check_design_guidelines,
-    check_transparency_form,
-    enforce_run,
-    is_run_h_bounded,
-    is_run_transparent,
-    lift_events,
-    project_run,
-    rewrite_transparent,
-    stages_of_run,
-)
-from .analysis import AuditReport, audit_program
-from .runtime import (
-    AnytimeResult,
-    Budget,
-    BudgetExceeded,
-    CancellationToken,
-    FaultInjector,
-    FaultPlan,
-    Supervisor,
-    anytime_minimum_scenario,
-    anytime_reachable_states,
-    recover_run,
-    use_budget,
-)
-from .transparency import (
-    SearchBudget,
-    check_h_bounded,
-    check_transparent,
-    check_transparent_and_bounded,
-    check_tree_equivalence,
-    check_view_program,
-    smallest_bound,
-    synthesize_view_program,
-)
-from .workflow import (
-    NULL,
-    OMEGA,
-    CollaborativeSchema,
-    Event,
-    Instance,
-    Relation,
-    Rule,
-    Run,
-    RunGenerator,
-    Schema,
-    Tuple,
-    View,
-    WorkflowProgram,
-    applicable_events,
-    chase,
-    execute,
-    normalize,
-    parse_program,
-    parse_schema,
-    program_to_text,
-    run_from_json,
-    run_to_json,
-)
+# Loaded eagerly, in this order, for two reasons: a deep import such as
+# ``repro.cluster.router`` would otherwise enter the cycle
+# runtime.budget -> workflow.errors -> workflow -> engine -> runtime.budget
+# from its middle and fail; and every entry point (CLI, server, router)
+# then loads the same modules in the same order.
+from . import core, design, analysis, runtime, transparency, workflow  # noqa: F401
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AnytimeResult",
-    "AuditReport",
-    "Budget",
-    "BudgetExceeded",
-    "CancellationToken",
-    "FaultInjector",
-    "FaultPlan",
-    "Supervisor",
-    "NULL",
-    "OMEGA",
-    "CollaborativeSchema",
-    "Event",
-    "EventSubsequence",
-    "Explanation",
-    "FaithfulScenario",
-    "FaithfulSemiring",
-    "FaithfulnessAnalysis",
-    "IncrementalExplainer",
-    "Instance",
-    "LifecycleIndex",
-    "Relation",
-    "Rule",
-    "Run",
-    "RunGenerator",
-    "Schema",
-    "SearchBudget",
-    "TransparencyEnforcer",
-    "Tuple",
-    "View",
-    "WorkflowProgram",
-    "add_stage_infrastructure",
-    "analyze_acyclicity",
-    "anytime_minimum_scenario",
-    "anytime_reachable_states",
-    "applicable_events",
-    "audit_program",
-    "chase",
-    "check_design_guidelines",
-    "check_h_bounded",
-    "check_transparency_form",
-    "check_transparent",
-    "check_transparent_and_bounded",
-    "check_tree_equivalence",
-    "check_view_program",
-    "enforce_run",
-    "execute",
-    "explain_event",
-    "explain_run",
-    "greedy_scenario",
-    "is_faithful_scenario",
-    "is_minimal_scenario",
-    "is_run_h_bounded",
-    "is_run_transparent",
-    "is_scenario",
-    "lift_events",
-    "minimal_faithful_scenario",
-    "minimum_scenario",
-    "normalize",
-    "parse_program",
-    "parse_schema",
-    "program_to_text",
-    "project_run",
-    "recover_run",
-    "rewrite_transparent",
-    "run_from_json",
-    "run_to_json",
-    "smallest_bound",
-    "stages_of_run",
-    "synthesize_view_program",
-    "use_budget",
-]

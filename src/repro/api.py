@@ -117,18 +117,14 @@ from .design import (
 # ----------------------------------------------------------------------
 # Resilient runtime: budgets, journals, supervision
 # ----------------------------------------------------------------------
-from .runtime import (
-    AnytimeResult,
-    Budget,
-    BudgetExceeded,
-    DiskFaultPlan,
-    ResumedRun,
+from .runtime import AnytimeResult, Budget, BudgetExceeded, use_budget
+from .runtime.checkpoint import ResumedRun, fast_recover
+from .runtime.faults import DiskFaultPlan
+from .runtime.journal import recover_run
+from .runtime.supervisor import (
     Supervisor,
     anytime_minimum_scenario,
     anytime_reachable_states,
-    fast_recover,
-    recover_run,
-    use_budget,
 )
 
 # ----------------------------------------------------------------------

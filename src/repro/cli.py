@@ -65,8 +65,15 @@ from .api import (
 from .workflow.errors import BudgetExceeded, WorkflowError
 
 
-def _load_program(path: str) -> WorkflowProgram:
-    return parse_program(Path(path).read_text())
+def _load_program(path: str, peer: Optional[str] = None) -> WorkflowProgram:
+    """Parse *path*; refuse an observing *peer* the program does not declare."""
+    program = parse_program(Path(path).read_text())
+    if peer is not None and peer not in program.schema.peers:
+        raise WorkflowError(
+            f"unknown peer {peer!r} (the program declares "
+            f"{', '.join(program.schema.peers)})"
+        )
+    return program
 
 
 def _load_service_program(args: argparse.Namespace) -> WorkflowProgram:
@@ -125,7 +132,7 @@ def _obtain_run(program: WorkflowProgram, args: argparse.Namespace) -> Run:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     transparent = args.transparent.split(",") if args.transparent else None
     report = audit_program(
         program,
@@ -159,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # A second run appended to a journal would be a second begin
         # record, which no recovery accepts.
         raise WorkflowError(f"journal {journal} already holds records")
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     run = _obtain_run(program, args)
     print(run)
     if args.peer:
@@ -219,7 +226,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .runtime.journal import recover_run
 
     source, source_warnings = _recover_source(args)
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     full = args.full or bool(args.save) or bool(args.peer)
     if full:
         # The audit path: every event re-executed from the beginning and
@@ -291,7 +298,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     run = _obtain_run(program, args)
     explanation = explain_run(run, args.peer)
     print(explanation.to_text())
@@ -366,7 +373,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     synthesis = synthesize_view_program(
         program, args.peer, h=args.bound, budget=_budget(args)
     )
@@ -379,7 +386,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_enforce(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = _load_program(args.program, args.peer)
     run = _obtain_run(program, args)
     trace = enforce_run(program, args.peer, args.bound, run.events)
     for decision in trace.decisions:
@@ -430,7 +437,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise WorkflowError("pass --storage or --journal-dir, not both")
     service = WorkflowService(
         program,
-        shards=args.shards,
         queue_capacity=args.queue_capacity,
         snapshot_every=args.snapshot_every,
         fault_plan=_fault_plan(args),
@@ -712,8 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="host workflow runs behind the JSON-lines TCP service"
     )
     service_common(p_serve)
-    p_serve.add_argument("--shards", type=int, default=8,
-                         help="run-registry shard count")
     p_serve.add_argument("--journal-dir", default=None,
                          help="directory for per-run journals (shorthand "
                               "for --storage file:DIR); layout matches "

@@ -16,9 +16,10 @@ package, so every layer can report into them without cycles):
 A fourth module, :mod:`repro.obs.shapley`, ranks provenance events by
 Shapley-value importance toward a visible fact.  Unlike the three above
 it *does* sit atop the engine (it replays event coalitions), so this
-package re-exports it lazily (PEP 562) — engine modules can keep
-importing ``repro.obs.metrics``/``trace`` without pulling the engine
-back in through a cycle, and ``repro.workflow`` must never import it.
+package does not import it: engine modules can keep importing
+``repro.obs.metrics``/``trace`` without pulling the engine back in
+through a cycle, and ``repro.workflow`` must never import it.  Import
+its names from :mod:`repro.obs.shapley` (or :mod:`repro.api`).
 
 See ``docs/OBSERVABILITY.md`` for the operator's guide and benchmark
 E16 for the overhead budget (<5% with tracing disabled).
@@ -57,40 +58,12 @@ __all__ = [
     "NullSink",
     "ProvenanceLog",
     "ProvenanceRecord",
-    "RankedEvent",
     "RingBufferSink",
-    "ShapleyReport",
     "SpanRecord",
     "TraceSink",
     "capture_spans",
     "configure_tracing",
     "current_span_id",
-    "fact_game",
-    "shapley_rank",
-    "shapley_values",
     "span",
     "tracing_enabled",
-    "view_game",
 ]
-
-#: Names served lazily from :mod:`repro.obs.shapley` (see the module
-#: docstring: the Shapley ranker sits atop the engine, so importing it
-#: eagerly here would cycle engine -> obs -> engine).
-_SHAPLEY_NAMES = frozenset(
-    {
-        "RankedEvent",
-        "ShapleyReport",
-        "fact_game",
-        "shapley_rank",
-        "shapley_values",
-        "view_game",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _SHAPLEY_NAMES:
-        from . import shapley
-
-        return getattr(shapley, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

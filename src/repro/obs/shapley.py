@@ -38,6 +38,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..runtime.budget import ambient_checkpoint
 from ..workflow.engine import apply_event
 from ..workflow.errors import EventError
 from ..workflow.instance import Instance
@@ -116,6 +117,9 @@ def shapley_values(
     sums: Dict[int, float] = {p: 0.0 for p in players}
     empty = v(frozenset())
     for _ in range(samples):
+        # Memoized coalitions cost no engine work, so poll the ambient
+        # budget here too: a huge *samples* is bounded like a long run.
+        ambient_checkpoint()
         order = players[:]
         rng.shuffle(order)
         coalition: set = set()

@@ -6,9 +6,9 @@ views ``R@p`` of a shared instance (Section 2).  This subpackage hosts
 making the hot path (event → view refresh → explanation) proportional
 to the event's delta rather than to the instance:
 
-* :mod:`repro.service.registry` — sharded run-id → hosted-run map with
-  per-shard locks; every hosted run is journal-durable and recoverable
-  (PR 1's :mod:`repro.runtime.journal`);
+* :mod:`repro.service.registry` — the run-id → hosted-run map; every
+  hosted run is journal-durable and recoverable
+  (:mod:`repro.runtime.journal`);
 * :mod:`repro.service.broker` — per-run FIFO mailboxes with bounded
   queues, backpressure and budget-aware admission, plus the
   supervisor's retry/quarantine/crash-recovery semantics inline in the

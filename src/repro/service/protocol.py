@@ -78,9 +78,11 @@ Operations
               lists events most-important first, each merged with its
               provenance citation; ``baseline``, ``grand`` and
               ``total`` expose the efficiency identity
-              ``total == grand - baseline``.  Runs longer than
-              ``MAX_RANK_EVENTS`` are refused (``invalid``): ranking
-              replays event coalitions, so cost grows with run length.
+              ``total == grand - baseline``.  Ranking replays event
+              coalitions on the server's event loop, so a ranking that
+              would take more than ``MAX_RANK_STEPS`` engine steps (or
+              an ``exact`` one over more than 16 events) is refused
+              (``service``).
 ``replicate`` ``{"op": "replicate", "run": <id>, "records": [...]}`` —
               append journal records shipped by another shard's
               primary into this server's storage backend (the
@@ -273,8 +275,9 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 def parse_request(message: Dict[str, Any]) -> PyTuple[str, Dict[str, Any]]:
     """Validate a request message; returns ``(op, message)``.
 
-    Checks the op is known and that run/peer are present where the op
-    requires them, so handlers can assume a well-formed request.
+    Checks the op is known, that run/peer are present where the op
+    requires them, and that the fields handlers read have the right
+    types, so handlers can assume a well-formed request.
     """
     op = message.get("op")
     if not isinstance(op, str) or op not in OPS:
@@ -292,6 +295,22 @@ def parse_request(message: Dict[str, Any]) -> PyTuple[str, Dict[str, Any]]:
         raise ProtocolError(f"op {op!r} requires a string 'run' field")
     if op in _PEER_OPS and not isinstance(message.get("peer"), str):
         raise ProtocolError(f"op {op!r} requires a string 'peer' field")
+    if op == "open":
+        initial = message.get("initial")
+        if initial is not None and not isinstance(initial, dict):
+            raise ProtocolError("the 'initial' field must be an instance object")
+    if op == "explain" and "index" in message:
+        index = message["index"]
+        if not isinstance(index, int) or index < 0:
+            raise ProtocolError("the 'index' field must be a non-negative integer")
+    if op in ("provenance", "provenance_rank"):
+        relation = message.get("relation")
+        if relation is not None and not isinstance(relation, str):
+            raise ProtocolError("the 'relation' field must be a string")
+    if op == "stats":
+        run = message.get("run")
+        if run is not None and not isinstance(run, str):
+            raise ProtocolError("the 'run' field of 'stats' must be a string")
     if op == "submit":
         if not isinstance(message.get("event"), dict):
             raise ProtocolError("op 'submit' requires an 'event' object")
@@ -325,11 +344,11 @@ def parse_request(message: Dict[str, Any]) -> PyTuple[str, Dict[str, Any]]:
             raise ProtocolError(
                 "the 'method' field must be 'auto', 'exact' or 'sampled'"
             )
-        for field in ("samples", "seed"):
+        for field, least in (("samples", 1), ("seed", 0)):
             count = message.get(field)
-            if count is not None and (not isinstance(count, int) or count < 0):
+            if count is not None and (not isinstance(count, int) or count < least):
                 raise ProtocolError(
-                    f"the {field!r} field must be a non-negative integer"
+                    f"the {field!r} field must be an integer >= {least}"
                 )
         if message.get("key") is not None and message.get("relation") is None:
             raise ProtocolError("a target 'key' needs a target 'relation'")

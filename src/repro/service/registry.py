@@ -1,14 +1,12 @@
-"""Sharded registry of hosted runs over pluggable storage.
+"""The registry of hosted runs over pluggable storage.
 
-The registry is the service's ownership map: every hosted run — one
-live instance of the collaborative workflow model, with its journal,
-its dataflow graph (which owns the materialized peer views) and its
-lazily-wired explainers — lives in
-exactly one of N shards, selected by a stable hash of the run id.
-Shards serialize their structural mutations (open/close/lookup) behind
-per-shard :class:`asyncio.Lock`\\ s so thousands of runs can be hosted
-without a global bottleneck; the *per-run* event order is enforced one
-level up by the broker's per-run mailboxes.
+The registry is the service's ownership map: one table from run id to
+hosted run — one live instance of the collaborative workflow model,
+with its journal, its dataflow graph (which owns the materialized peer
+views) and its lazily-wired explainers.  Its structural mutations
+(open/close/lookup) never await, so on the service's one event loop
+each is atomic without a lock; the *per-run* event order is enforced
+one level up by the broker's per-run mailboxes.
 
 Durability is delegated to a :class:`~repro.storage.StorageBackend`:
 every hosted run appends its begin/event/snapshot/quarantine/end
@@ -34,11 +32,9 @@ snapshot) rehydration cost.
 
 from __future__ import annotations
 
-import asyncio
 import weakref
-import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple as PyTuple, Union
 
@@ -410,12 +406,6 @@ class HostedRun:
 
 
 @dataclass
-class _Shard:
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    runs: Dict[str, HostedRun] = field(default_factory=dict)
-
-
-@dataclass
 class _EvictedRun:
     """The counters an evicted run carries while its state lives on disk."""
 
@@ -426,19 +416,16 @@ class _EvictedRun:
 
 
 class ShardedRunRegistry:
-    """Run-id → :class:`HostedRun` across N lock-guarded shards."""
+    """Run-id → :class:`HostedRun`, resident or evicted to storage."""
 
     def __init__(
         self,
         program: WorkflowProgram,
-        shards: int = 8,
         snapshot_every: Optional[int] = 10,
         storage: Union[str, StorageBackend, None] = None,
         max_resident: Optional[int] = None,
         compact_every: int = 4,
     ) -> None:
-        if shards < 1:
-            raise ServiceError("registry needs at least one shard")
         if max_resident is not None and max_resident < 1:
             raise ServiceError("max_resident must be at least 1")
         self.program = program
@@ -446,28 +433,13 @@ class ShardedRunRegistry:
         self.snapshot_every = snapshot_every
         self.max_resident = max_resident
         self.compact_every = compact_every
-        self._shards: List[_Shard] = [_Shard() for _ in range(shards)]
+        self._runs: Dict[str, HostedRun] = {}
         self._evicted: Dict[str, _EvictedRun] = {}
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         self.recoveries = 0
         self.evictions = 0
         self.rehydrations = 0
         _live_registries.add(self)
-
-    # ------------------------------------------------------------------
-    # Sharding
-    # ------------------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_index(self, run_id: str) -> int:
-        """Stable shard assignment (crc32, not the salted builtin hash)."""
-        return zlib.crc32(run_id.encode("utf-8")) % len(self._shards)
-
-    def _shard(self, run_id: str) -> _Shard:
-        return self._shards[self.shard_index(run_id)]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -487,28 +459,25 @@ class ShardedRunRegistry:
         (``recover=True``) or refuses (``recover=False``) — it never
         silently truncates durable state.
         """
-        shard = self._shard(run_id)
-        async with shard.lock:
-            if run_id in shard.runs or run_id in self._evicted:
-                raise DuplicateRunError(f"run {run_id!r} is already hosted")
-            hosted = self._materialize(run_id, initial)
-            shard.runs[run_id] = hosted
-            recovered = hosted.recoveries > 0
-            if not recover and recovered:
-                del shard.runs[run_id]
-                if hosted.journal is not None:
-                    hosted.journal.close()
-                raise ServiceError(
-                    f"run {run_id!r} has records at "
-                    f"{hosted.journal_file or self.storage.name}; "
-                    "open with recovery or choose a new id"
-                )
-            if recovered:
-                self.recoveries += 1
-                _RECOVERIES.inc()
-            self._touch(run_id)
-            self._maybe_evict(protect=run_id)
-            return hosted, recovered
+        if run_id in self._runs or run_id in self._evicted:
+            raise DuplicateRunError(f"run {run_id!r} is already hosted")
+        hosted = self._materialize(run_id, initial)
+        recovered = hosted.recoveries > 0
+        if not recover and recovered:
+            if hosted.journal is not None:
+                hosted.journal.close()
+            raise ServiceError(
+                f"run {run_id!r} has records at "
+                f"{hosted.journal_file or self.storage.name}; "
+                "open with recovery or choose a new id"
+            )
+        self._runs[run_id] = hosted
+        if recovered:
+            self.recoveries += 1
+            _RECOVERIES.inc()
+        self._touch(run_id)
+        self._maybe_evict(protect=run_id)
+        return hosted, recovered
 
     def _materialize(self, run_id: str, initial: Optional[Instance]) -> HostedRun:
         start = (
@@ -577,14 +546,12 @@ class ShardedRunRegistry:
         )
 
     async def get(self, run_id: str) -> HostedRun:
-        shard = self._shard(run_id)
-        async with shard.lock:
-            hosted = shard.runs.get(run_id)
-            if hosted is None and run_id in self._evicted:
-                hosted = self._rehydrate(run_id, shard)
-                self._maybe_evict(protect=run_id)
-            elif hosted is not None:
-                self._touch(run_id)
+        hosted = self._runs.get(run_id)
+        if hosted is None and run_id in self._evicted:
+            hosted = self._rehydrate(run_id)
+            self._maybe_evict(protect=run_id)
+        elif hosted is not None:
+            self._touch(run_id)
         if hosted is None:
             raise UnknownRunError(f"run {run_id!r} is not hosted")
         return hosted
@@ -611,34 +578,32 @@ class ShardedRunRegistry:
 
     async def close(self, run_id: str, status: str = "completed") -> HostedRun:
         """Stop hosting *run_id*, sealing its records with *status*."""
-        shard = self._shard(run_id)
-        async with shard.lock:
-            hosted = shard.runs.pop(run_id, None)
-            if hosted is None and run_id in self._evicted:
-                # Seal without full rehydration: the live state is not
-                # needed to close, only the record history.
-                evicted = self._evicted.pop(run_id)
-                store = self.storage.store(run_id)
-                records, _ = store.read()
-                resumed = fast_recover(self.program, records)
-                hosted = HostedRun(
-                    run_id,
-                    self.program,
-                    resumed.initial,
-                    instance=resumed.instance,
-                    events=resumed.events,
-                )
-                hosted.submitted = evicted.submitted
-                hosted.quarantined = evicted.quarantined
-                hosted.recoveries = evicted.recoveries
-                hosted.dataflow.pushes = evicted.dataflow_pushes
-                self._seal(lambda: (store.append(end_record(status)), store.sync()))
-                store.close()
-                self._lru.pop(run_id, None)
-                if not self.storage.durable:
-                    self.storage.delete(run_id)
-                return hosted
+        hosted = self._runs.pop(run_id, None)
+        if hosted is None and run_id in self._evicted:
+            # Seal without full rehydration: the live state is not
+            # needed to close, only the record history.
+            evicted = self._evicted.pop(run_id)
+            store = self.storage.store(run_id)
+            records, _ = store.read()
+            resumed = fast_recover(self.program, records)
+            hosted = HostedRun(
+                run_id,
+                self.program,
+                resumed.initial,
+                instance=resumed.instance,
+                events=resumed.events,
+            )
+            hosted.submitted = evicted.submitted
+            hosted.quarantined = evicted.quarantined
+            hosted.recoveries = evicted.recoveries
+            hosted.dataflow.pushes = evicted.dataflow_pushes
+            self._seal(lambda: (store.append(end_record(status)), store.sync()))
+            store.close()
             self._lru.pop(run_id, None)
+            if not self.storage.durable:
+                self.storage.delete(run_id)
+            return hosted
+        self._lru.pop(run_id, None)
         if hosted is None:
             raise UnknownRunError(f"run {run_id!r} is not hosted")
         if hosted.journal is not None:
@@ -657,40 +622,38 @@ class ShardedRunRegistry:
         latest checkpoint.  On a non-durable backend the state is
         genuinely lost and :class:`ServiceError` is raised.
         """
-        shard = self._shard(run_id)
-        async with shard.lock:
-            hosted = shard.runs.pop(run_id, None)
-            evicted = self._evicted.pop(run_id, None)
-            if hosted is None and evicted is None:
-                raise UnknownRunError(f"run {run_id!r} is not hosted")
-            prior_recoveries = (
-                hosted.recoveries if hosted is not None else evicted.recoveries
+        hosted = self._runs.pop(run_id, None)
+        evicted = self._evicted.pop(run_id, None)
+        if hosted is None and evicted is None:
+            raise UnknownRunError(f"run {run_id!r} is not hosted")
+        prior_recoveries = (
+            hosted.recoveries if hosted is not None else evicted.recoveries
+        )
+        if hosted is not None and hosted.journal is not None:
+            sealed = hosted
+            self._seal(lambda: sealed.journal.end("crashed"))
+            hosted.journal.close()
+        elif evicted is not None and self.storage.durable:
+            store = self.storage.store(run_id)
+            self._seal(
+                lambda: (store.append(end_record("crashed")), store.sync())
             )
-            if hosted is not None and hosted.journal is not None:
-                sealed = hosted
-                self._seal(lambda: sealed.journal.end("crashed"))
-                hosted.journal.close()
-            elif evicted is not None and self.storage.durable:
-                store = self.storage.store(run_id)
-                self._seal(
-                    lambda: (store.append(end_record("crashed")), store.sync())
-                )
-                store.close()
-            if not self.storage.durable:
-                self._lru.pop(run_id, None)
-                self.storage.delete(run_id)
-                raise ServiceError(
-                    f"run {run_id!r} crashed without durable storage; "
-                    "state is lost"
-                )
-            recovered = self._materialize(run_id, None)
-            recovered.recoveries = prior_recoveries + 1
-            shard.runs[run_id] = recovered
-            self.recoveries += 1
-            _RECOVERIES.inc()
-            self._touch(run_id)
-            self._maybe_evict(protect=run_id)
-            return recovered
+            store.close()
+        if not self.storage.durable:
+            self._lru.pop(run_id, None)
+            self.storage.delete(run_id)
+            raise ServiceError(
+                f"run {run_id!r} crashed without durable storage; "
+                "state is lost"
+            )
+        recovered = self._materialize(run_id, None)
+        recovered.recoveries = prior_recoveries + 1
+        self._runs[run_id] = recovered
+        self.recoveries += 1
+        _RECOVERIES.inc()
+        self._touch(run_id)
+        self._maybe_evict(protect=run_id)
+        return recovered
 
     async def sync_all(self) -> int:
         """Force a durability barrier on every resident run's store.
@@ -703,14 +666,12 @@ class ShardedRunRegistry:
         exactly what such a disk is allowed to lose.
         """
         synced = 0
-        for shard in self._shards:
-            async with shard.lock:
-                for hosted in shard.runs.values():
-                    try:
-                        hosted.journal.store.sync()
-                        synced += 1
-                    except DiskFault:
-                        pass
+        for hosted in self._runs.values():
+            try:
+                hosted.journal.store.sync()
+                synced += 1
+            except DiskFault:
+                pass
         return synced
 
     # ------------------------------------------------------------------
@@ -725,7 +686,7 @@ class ShardedRunRegistry:
         """Evict LRU resident runs until at most ``max_resident`` remain.
 
         Runs synchronously (no awaits), so it is atomic with respect to
-        the event loop — safe to call while holding any shard lock.
+        the event loop.
         """
         if self.max_resident is None:
             return
@@ -734,7 +695,7 @@ class ShardedRunRegistry:
                 (
                     rid
                     for rid in self._lru
-                    if rid != protect and rid in self._shard(rid).runs
+                    if rid != protect and rid in self._runs
                 ),
                 None,
             )
@@ -748,8 +709,7 @@ class ShardedRunRegistry:
         could not be checkpointed and synced despite retries: evicting
         then would hand rehydration a store missing acknowledged state.
         """
-        shard = self._shard(run_id)
-        hosted = shard.runs.pop(run_id, None)
+        hosted = self._runs.pop(run_id, None)
         if hosted is None:
             return False
         journal = hosted.journal
@@ -767,7 +727,7 @@ class ShardedRunRegistry:
             except DiskFault:
                 continue  # the store self-heals; a new fault draw each try
         if not persisted:
-            shard.runs[run_id] = hosted
+            self._runs[run_id] = hosted
             return False
         journal.close()
         self._evicted[run_id] = _EvictedRun(
@@ -781,8 +741,8 @@ class ShardedRunRegistry:
         _EVICTIONS.inc()
         return True
 
-    def _rehydrate(self, run_id: str, shard: _Shard) -> HostedRun:
-        """Re-materialize an evicted run from its records (shard lock held)."""
+    def _rehydrate(self, run_id: str) -> HostedRun:
+        """Re-materialize an evicted run from its records."""
         evicted = self._evicted.pop(run_id)
         hosted = self._materialize(run_id, None)
         hosted.submitted = evicted.submitted
@@ -792,7 +752,7 @@ class ShardedRunRegistry:
         # counter resumes where the evicted incarnation left off so
         # eviction stays invisible in stats.
         hosted.dataflow.pushes = evicted.dataflow_pushes
-        shard.runs[run_id] = hosted
+        self._runs[run_id] = hosted
         self.rehydrations += 1
         _REHYDRATIONS.inc()
         self._touch(run_id)
@@ -803,29 +763,23 @@ class ShardedRunRegistry:
     # ------------------------------------------------------------------
 
     def run_ids(self) -> List[str]:
-        resident = [run_id for shard in self._shards for run_id in shard.runs]
-        return sorted(resident + list(self._evicted))
+        return sorted([*self._runs, *self._evicted])
 
     def hosted_count(self) -> int:
         """Runs the registry is responsible for, resident or evicted."""
         return self.resident_count() + len(self._evicted)
 
     def resident_count(self) -> int:
-        return sum(len(shard.runs) for shard in self._shards)
+        return len(self._runs)
 
     def evicted_count(self) -> int:
         return len(self._evicted)
 
-    def shard_sizes(self) -> List[int]:
-        return [len(shard.runs) for shard in self._shards]
-
     def stats(self) -> Dict[str, object]:
         return {
-            "shards": self.shard_count,
             "hosted_runs": self.hosted_count(),
             "resident_runs": self.resident_count(),
             "evicted_runs": self.evicted_count(),
-            "shard_sizes": self.shard_sizes(),
             "recoveries": self.recoveries,
             "evictions": self.evictions,
             "rehydrations": self.rehydrations,

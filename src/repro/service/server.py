@@ -1,10 +1,10 @@
 """The multi-run workflow service and its TCP front end.
 
-:class:`WorkflowService` composes the sharded registry and the event
-broker behind one ``handle(request) -> response``
-method speaking the JSON-lines protocol of
-:mod:`repro.service.protocol`; :class:`ServiceServer` exposes it over
-an :mod:`asyncio` TCP socket, one protocol line per request.
+:class:`WorkflowService` composes the run registry and the event
+broker behind one ``handle(request) -> response`` method speaking the
+JSON-lines protocol of :mod:`repro.service.protocol`;
+:class:`ServiceServer` exposes it over an :mod:`asyncio` TCP socket,
+one protocol line per request.
 
 Requests on one connection are handled strictly in order, so a client's
 submissions to a run are FIFO end to end: connection order = broker
@@ -20,8 +20,8 @@ import time
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import METRICS
-from ..obs.shapley import shapley_rank
-from ..runtime.budget import Budget
+from ..obs.shapley import EXACT_HARD_LIMIT, shapley_rank
+from ..runtime.budget import Budget, BudgetExceeded, use_budget
 from ..runtime.faults import DiskFaultInjector, DiskFaultPlan, FaultPlan
 from ..runtime.supervisor import RetryPolicy
 from ..storage.backend import DurabilityPolicy, StorageBackend, open_backend
@@ -49,11 +49,13 @@ from .protocol import (
 )
 from .registry import ShardedRunRegistry
 
-__all__ = ["MAX_RANK_EVENTS", "ServiceServer", "WorkflowService"]
+__all__ = ["MAX_RANK_STEPS", "ServiceServer", "WorkflowService"]
 
-#: ``provenance_rank`` replays event coalitions (samples × run length
-#: engine applications), so runs longer than this are refused.
-MAX_RANK_EVENTS = 128
+#: ``provenance_rank`` replays event coalitions on the event loop (about
+#: samples × events² engine applications), so it runs under a budget of
+#: this many steps — engine applications plus sampled permutations —
+#: and is refused when it would exceed it.
+MAX_RANK_STEPS = 1 << 16
 
 _REQUESTS = METRICS.counter(
     "repro_service_requests_total",
@@ -68,7 +70,6 @@ class WorkflowService:
     def __init__(
         self,
         program: WorkflowProgram,
-        shards: int = 8,
         queue_capacity: int = 64,
         snapshot_every: Optional[int] = 10,
         retry: Optional[RetryPolicy] = None,
@@ -111,7 +112,6 @@ class WorkflowService:
             storage = ReplicatingBackend(storage, self.replication)
         self.registry = ShardedRunRegistry(
             program,
-            shards=shards,
             snapshot_every=snapshot_every,
             storage=storage,
             max_resident=max_resident,
@@ -178,7 +178,6 @@ class WorkflowService:
             run=hosted.run_id,
             recovered=recovered,
             applied=hosted.applied,
-            shard=self.registry.shard_index(hosted.run_id),
         )
 
     async def _op_submit(self, request: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
@@ -259,7 +258,7 @@ class WorkflowService:
         hosted = await self.registry.get(request["run"])
         explainer = hosted.explainer(peer)
         if "index" in request:
-            index = int(request["index"])
+            index = request["index"]
             if not 0 <= index < hosted.applied:
                 raise ServiceError(
                     f"event index {index} out of range (run has {hosted.applied})"
@@ -341,41 +340,48 @@ class WorkflowService:
     ) -> Dict[str, Any]:
         """Shapley-ranked event attributions for a peer-visible target.
 
-        Ranking replays event coalitions through the engine, so its
-        cost grows with run length; runs longer than
-        :data:`MAX_RANK_EVENTS` are refused rather than stalling the
-        server's request loop.
+        Ranking replays event coalitions through the engine on the
+        event loop, so it runs under a :data:`MAX_RANK_STEPS` budget and
+        is refused when it would exceed it, rather than stalling every
+        other run and client.
         """
         peer = request["peer"]
         if peer not in self.program.schema.peers:
             raise ServiceError(f"unknown peer {peer!r}")
         relation = request.get("relation")
-        if relation is not None and (
-            not isinstance(relation, str)
-            or self.program.schema.view(relation, peer) is None
-        ):
+        if relation is not None and self.program.schema.view(relation, peer) is None:
             raise ServiceError(f"peer {peer!r} has no view of relation {relation!r}")
         key = request.get("key")
+        if key is not None:
+            key = value_from_json(key)
+        method = request.get("method", "auto")
         hosted = await self.registry.get(request["run"])
-        if hosted.applied > MAX_RANK_EVENTS:
+        if method == "exact" and hosted.applied > EXACT_HARD_LIMIT:
             raise ServiceError(
-                f"run has {hosted.applied} events; provenance_rank is capped "
-                f"at {MAX_RANK_EVENTS} (rank a shorter run or a prefix)"
+                f"run has {hosted.applied} events; exact ranking is capped at "
+                f"{EXACT_HARD_LIMIT} (use method 'sampled')"
             )
         from ..workflow.runs import execute
 
-        run = execute(
-            self.program, hosted.events, hosted.initial, check_freshness=False
-        )
-        report = shapley_rank(
-            run,
-            peer,
-            relation=relation,
-            key=None if key is None else value_from_json(key),
-            method=request.get("method", "auto"),
-            samples=request.get("samples", 128),
-            seed=request.get("seed", 0),
-        )
+        try:
+            with use_budget(Budget(max_steps=MAX_RANK_STEPS)):
+                run = execute(
+                    self.program, hosted.events, hosted.initial, check_freshness=False
+                )
+                report = shapley_rank(
+                    run,
+                    peer,
+                    relation=relation,
+                    key=key,
+                    method=method,
+                    samples=request.get("samples", 128),
+                    seed=request.get("seed", 0),
+                )
+        except BudgetExceeded:
+            raise ServiceError(
+                f"provenance_rank is capped at {MAX_RANK_STEPS} steps "
+                "(rank a shorter run, or with fewer samples)"
+            ) from None
         citations = {
             record["seq"]: record
             for record in hosted.provenance_log().citations(

@@ -168,13 +168,18 @@ def value_to_json(value: object) -> Any:
 
 
 def value_from_json(data: Any) -> object:
-    """Decode :func:`value_to_json` output."""
+    """Decode :func:`value_to_json` output; :class:`SerializationError` if malformed."""
     if isinstance(data, dict):
         if data.get("$null"):
             return NULL
         if "$fresh" in data:
-            return FreshValue(int(data["$fresh"]))
+            try:
+                return FreshValue(int(data["$fresh"]))
+            except (TypeError, ValueError):
+                raise SerializationError(f"malformed fresh value {data!r}") from None
         raise SerializationError(f"unknown tagged value {data!r}")
+    if data is None or isinstance(data, list):
+        raise SerializationError(f"value {data!r} is not a domain value")
     return data
 
 
@@ -194,12 +199,19 @@ def event_to_dict(event: Event) -> Dict[str, Any]:
 
 
 def event_from_dict(program: WorkflowProgram, data: Dict[str, Any]) -> Event:
-    """Decode :func:`event_to_dict` output against *program*."""
-    rule = program.rule(data["rule"])
-    valuation = {
-        Var(name): value_from_json(value)
-        for name, value in data.get("valuation", {}).items()
-    }
+    """Decode :func:`event_to_dict` output against *program*.
+
+    Raises :class:`SerializationError` when *data* is not an event
+    encoding (no ``rule``, a ``valuation`` that is not an object, ...).
+    """
+    try:
+        rule = program.rule(data["rule"])
+        valuation = {
+            Var(name): value_from_json(value)
+            for name, value in data.get("valuation", {}).items()
+        }
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise SerializationError(f"malformed event encoding: {exc!r}") from None
     return Event(rule, valuation)
 
 
@@ -217,20 +229,27 @@ def instance_to_dict(instance: Instance) -> Dict[str, Any]:
 
 
 def instance_from_dict(program: WorkflowProgram, data: Dict[str, Any]) -> Instance:
-    """Decode :func:`instance_to_dict` output against *program*'s schema."""
+    """Decode :func:`instance_to_dict` output against *program*'s schema.
+
+    Raises :class:`SerializationError` when *data* is not an instance
+    encoding (not an object of relation -> list of attribute maps).
+    """
     from .tuples import Tuple
 
     schema = program.schema.schema
     contents = {}
-    for name, rows in data.items():
-        relation = schema.relation(name)
-        contents[name] = [
-            Tuple(
-                relation.attributes,
-                tuple(value_from_json(row.get(a, {"$null": True})) for a in relation.attributes),
-            )
-            for row in rows
-        ]
+    try:
+        for name, rows in data.items():
+            relation = schema.relation(name)
+            contents[name] = [
+                Tuple(
+                    relation.attributes,
+                    tuple(value_from_json(row.get(a, {"$null": True})) for a in relation.attributes),
+                )
+                for row in rows
+            ]
+    except (AttributeError, TypeError) as exc:
+        raise SerializationError(f"malformed instance encoding: {exc!r}") from None
     return Instance.from_tuples(schema, contents)
 
 

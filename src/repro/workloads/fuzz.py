@@ -24,9 +24,9 @@ the stack promises equivalent:
 * ``recovery`` — journaling the run and recovering it (full
   ``recover_run`` re-execution and the ``fast_recover`` checkpoint
   path) must reproduce the run, its views and its provenance;
-* ``cluster`` — a sharded in-process :class:`WorkflowService` (the
-  router's worker configuration) must answer open/submit/view/explain
-  bit-identically to a single-shard service.
+* ``service`` — an in-process :class:`WorkflowService` (the router's
+  worker) must acknowledge every submitted event in order and answer
+  each peer's ``view`` and ``explain`` as the offline run does.
 
 On divergence the report carries a copy-pasteable reproduce one-liner,
 and :func:`shrink_program` greedily minimizes a failing program by
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 #: The engine pairs :func:`differential_check` exercises, in order.
-PAIRS = ("backends", "dataflow", "recovery", "cluster")
+PAIRS = ("backends", "dataflow", "recovery", "service")
 
 _QUERY_BACKENDS = ("naive", "compiled")
 
@@ -536,64 +536,56 @@ def _check_recovery(program: WorkflowProgram, run: Run) -> PairOutcome:
     return PairOutcome("recovery", True)
 
 
-def _check_cluster(program: WorkflowProgram, run: Run) -> PairOutcome:
-    """A sharded in-process service vs a single-shard one, same requests.
+def _check_service(program: WorkflowProgram, run: Run) -> PairOutcome:
+    """One in-process :class:`WorkflowService` transcript vs the offline run.
 
-    This is the worker configuration the cluster router load-balances
-    over; the full subprocess router differential lives in
-    ``tests/cluster``.
+    Every submit must be acknowledged ``applied`` with seq 0…n−1, each
+    peer's ``view`` must equal its view of the run's final instance, and
+    each ``explain`` must equal :func:`minimal_faithful_scenario`.  The
+    full subprocess router differential lives in ``tests/cluster``.
     """
+    from ..core.faithful import minimal_faithful_scenario
+    from ..service.loadgen import _canonical_view
     from ..service.server import WorkflowService
+    from ..workflow.serialization import instance_to_dict
 
-    def scrub(response: Dict[str, object]) -> Dict[str, object]:
-        # Shard placement is configuration metadata, not semantics.
-        return {key: value for key, value in response.items() if key != "shard"}
-
-    async def drive(shards: int) -> Dict[str, object]:
-        service = WorkflowService(program, shards=shards, snapshot_every=None)
-        transcript: Dict[str, object] = {}
+    async def drive() -> Optional[str]:
+        service = WorkflowService(program, snapshot_every=None)
         try:
-            transcript["open"] = scrub(
-                await service.handle({"op": "open", "run": "diff"})
+            await service.handle(
+                {
+                    "op": "open",
+                    "run": "diff",
+                    "initial": instance_to_dict(_initial_instance(program, run)),
+                }
             )
-            submits = []
             for index, event in enumerate(run.events):
-                response = await service.handle(
-                    {
-                        "op": "submit",
-                        "run": "diff",
-                        "event": event_to_dict(event),
-                        "seq": index,
-                    }
+                ack = await service.handle(
+                    {"op": "submit", "run": "diff", "event": event_to_dict(event)}
                 )
-                submits.append(scrub(response))
-            transcript["submits"] = submits
+                if ack.get("status") != "applied" or ack.get("seq") != index:
+                    return f"event {index} acknowledged as {ack}"
             for peer in program.schema.peers:
-                transcript[f"view:{peer}"] = scrub(
-                    await service.handle({"op": "view", "run": "diff", "peer": peer})
+                view = await service.handle({"op": "view", "run": "diff", "peer": peer})
+                expected = instance_to_dict(
+                    program.schema.view_instance(run.final_instance, peer)
                 )
-                transcript[f"explain:{peer}"] = scrub(
-                    await service.handle(
-                        {"op": "explain", "run": "diff", "peer": peer}
-                    )
+                if _canonical_view(view["instance"]) != _canonical_view(expected):
+                    return f"view of peer {peer!r} diverged"
+                explain = await service.handle(
+                    {"op": "explain", "run": "diff", "peer": peer}
                 )
-            transcript["close"] = scrub(
-                await service.handle({"op": "close", "run": "diff"})
-            )
+                offline = list(minimal_faithful_scenario(run, peer).indices)
+                if explain["scenario"] != offline:
+                    return f"explanation to peer {peer!r} diverged"
         finally:
             await service.aclose()
-        return transcript
+        return None
 
-    sharded = asyncio.run(drive(4))
-    single = asyncio.run(drive(1))
-    if sharded != single:
-        keys = [k for k in sharded if sharded.get(k) != single.get(k)]
-        return PairOutcome(
-            "cluster",
-            False,
-            f"sharded service responses diverged on {', '.join(keys[:4])}",
-        )
-    return PairOutcome("cluster", True)
+    detail = asyncio.run(drive())
+    if detail is not None:
+        return PairOutcome("service", False, detail)
+    return PairOutcome("service", True)
 
 
 def differential_check(
@@ -621,8 +613,8 @@ def differential_check(
             outcomes.append(_check_dataflow(program, run))
         elif pair == "recovery":
             outcomes.append(_check_recovery(program, run))
-        elif pair == "cluster":
-            outcomes.append(_check_cluster(program, run))
+        elif pair == "service":
+            outcomes.append(_check_service(program, run))
     return DifferentialReport(
         seed=seed,
         steps=steps,

@@ -1,4 +1,4 @@
-"""Sharded registry: hosting, sharding, journal durability, crash recovery."""
+"""Run registry: hosting, journal durability, crash recovery."""
 
 from __future__ import annotations
 
@@ -43,25 +43,6 @@ class TestHosting:
             await registry.open("r1")
             with pytest.raises(DuplicateRunError):
                 await registry.open("r1")
-
-        asyncio.run(scenario())
-
-    def test_sharding_is_stable_and_covers_all_runs(self):
-        program = churn_program()
-
-        async def scenario():
-            registry = ShardedRunRegistry(program, shards=4)
-            run_ids = [f"run-{i}" for i in range(32)]
-            for run_id in run_ids:
-                await registry.open(run_id)
-            assert sorted(registry.run_ids()) == sorted(run_ids)
-            assert sum(registry.shard_sizes()) == 32
-            # crc32-based placement is a pure function of the run id.
-            for run_id in run_ids:
-                assert registry.shard_index(run_id) == registry.shard_index(run_id)
-                assert 0 <= registry.shard_index(run_id) < 4
-            # With 32 ids over 4 shards the spread must not collapse.
-            assert max(registry.shard_sizes()) < 32
 
         asyncio.run(scenario())
 

@@ -425,16 +425,40 @@ class TestObservabilityOps:
                 )
                 assert keyless["error"] == "protocol"
 
-                # oversized runs are refused, not ranked at 2^n cost
-                server_module.MAX_RANK_EVENTS = 4
+                # rankings over the work cap are refused, not computed
+                server_module.MAX_RANK_STEPS = 4
                 try:
                     refused = await client.request(
                         op="provenance_rank", run="r", peer=peer
                     )
                 finally:
-                    server_module.MAX_RANK_EVENTS = 128
+                    server_module.MAX_RANK_STEPS = 1 << 16
                 assert refused["error"] == "service"
                 assert "capped" in refused["message"]
+            finally:
+                await client.close()
+
+        run_server_scenario(scenario)
+
+    def test_sampled_ranking_is_bounded_by_the_work_cap(self):
+        # Two events memoize to four coalitions, so only the per-permutation
+        # poll stops a million shuffles from holding the event loop.
+        async def scenario(program, server):
+            run = RunGenerator(program, seed=5).random_run(2)
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                await client.expect_ok(op="open", run="r")
+                for event in run.events:
+                    await client.expect_ok(
+                        op="submit", run="r", event=event_to_dict(event)
+                    )
+                refused = await client.request(
+                    op="provenance_rank", run="r", peer="maker",
+                    method="sampled", samples=10**6,
+                )
+                assert refused["error"] == "service"
+                assert "capped" in refused["message"]
+                await client.expect_ok(op="ping")
             finally:
                 await client.close()
 
@@ -544,6 +568,74 @@ class TestLineDiscipline:
                 await writer.wait_closed()
 
         self.run_small_line_scenario(scenario)
+
+
+_BAD_EVENTS = {
+    "no-rule": {"valuation": {}},
+    "list-valuation": {"rule": "make", "valuation": [1]},
+    "list-value": {"rule": "make", "valuation": {"x": [1, 2]}},
+    "null-value": {"rule": "make", "valuation": {"x": None}},
+    "bad-fresh": {"rule": "make", "valuation": {"x": {"$fresh": "x"}}},
+}
+
+_MALFORMED = {
+    "explain-index-str": {"op": "explain", "peer": "maker", "index": "abc"},
+    "explain-index-null": {"op": "explain", "peer": "maker", "index": None},
+    "explain-index-list": {"op": "explain", "peer": "maker", "index": [1]},
+    **{
+        f"submit-{name}": {"op": "submit", "event": event}
+        for name, event in _BAD_EVENTS.items()
+    },
+    **{
+        f"batch-{name}": {"op": "submit_batch", "events": [{"event": event}]}
+        for name, event in _BAD_EVENTS.items()
+    },
+    "stats-run-int": {"op": "stats", "run": 5},
+    "open-initial-str": {"op": "open", "run": "other", "initial": "x"},
+    "provenance-list-relation": {"op": "provenance", "relation": ["Obj"]},
+    "provenance-bad-key": {
+        "op": "provenance", "relation": "Obj", "key": {"$fresh": "x"},
+    },
+    "rank-exact-too-long": {
+        "op": "provenance_rank", "peer": "maker", "method": "exact",
+    },
+    "rank-zero-samples": {
+        "op": "provenance_rank", "peer": "maker", "method": "sampled",
+        "samples": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_field_is_answered_and_keeps_the_connection(name):
+    """A bad field value gets ``ok: false``; the request behind it is served."""
+
+    async def scenario(program, server):
+        run = RunGenerator(program, seed=3).random_run(20)
+        client = await ServiceClient.connect(server.host, server.port)
+        try:
+            await client.expect_ok(op="open", run="r")
+            for event in run.events:
+                await client.expect_ok(
+                    op="submit", run="r", event=event_to_dict(event)
+                )
+        finally:
+            await client.close()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(encode_message({"run": "r", "id": 1, **_MALFORMED[name]}))
+            writer.write(encode_message({"op": "ping", "id": 2}))
+            await writer.drain()
+            replies = [await reader.readline() for _ in range(2)]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert all(replies), "the server dropped the connection"
+        failure, pong = (decode_line(line) for line in replies)
+        assert failure["ok"] is False and failure["id"] == 1
+        assert pong["ok"] and pong["id"] == 2
+
+    run_server_scenario(scenario)
 
 
 class TestShutdownDrain:

@@ -36,7 +36,7 @@ class TestEviction:
             assert registry.evicted_count() == 1
             assert registry.hosted_count() == 3
             # "a" was the least recently used; it is the one evicted.
-            assert "a" not in registry._shard("a").runs
+            assert "a" not in registry._runs
             assert sorted(registry.run_ids()) == ["a", "b", "c"]
             stats = registry.stats()
             assert stats["resident_runs"] == 2
@@ -174,7 +174,7 @@ class TestEviction:
             await registry.open("b")
             # The eviction of "a" could not reach a durability barrier:
             # it must still be resident (possibly alongside "b").
-            assert "a" in registry._shard("a").runs
+            assert "a" in registry._runs
             assert registry.resident_count() >= 1
             live = await registry.get("a")
             assert live.applied == 1

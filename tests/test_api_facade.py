@@ -73,3 +73,13 @@ def test_quickstart_from_the_docstring_runs(approval):
     run = RunGenerator(approval, seed=0).random_run(6)
     text = explain_run(run, approval.schema.peers[0]).to_text()
     assert "Explanation" in text
+
+
+def test_repro_package_is_not_a_second_facade():
+    # `repro` exports its version and subpackages; the API is repro.api.
+    import repro
+
+    assert not hasattr(repro, "__all__")
+    assert repro.__version__
+    with pytest.raises(ImportError):
+        from repro import parse_program  # noqa: F401

@@ -55,6 +55,32 @@ class TestCheck:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["explain", "--steps", "3"],
+        ["synthesize", "--bound", "1"],
+        ["enforce", "--bound", "1", "--steps", "3"],
+        ["run", "--steps", "3"],
+        ["recover", "--journal", "{journal}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_undeclared_peer_is_refused(command, program_file, tmp_path, capsys):
+    journal = tmp_path / "run.journal"
+    assert main(["run", program_file, "--steps", "3", "--journal", str(journal)]) == 0
+    capsys.readouterr()
+    argv = [command[0], program_file, "--peer", "nobody"] + [
+        arg.format(journal=journal) for arg in command[1:]
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown peer 'nobody'" in captured.err
+    assert "hr, ceo, cfo, sue" in captured.err
+    assert captured.out == ""
+
+
 class TestLint:
     def test_clean_program_exit_zero(self, program_file, capsys):
         assert main(["lint", program_file]) == 0

@@ -113,7 +113,7 @@ class TestRetiredShims:
             lint_program(approval, explore_depth=3)
 
     def test_anytime_minimum_scenario_rejects_max_size(self, approval_run):
-        from repro.runtime import Budget, anytime_minimum_scenario
+        from repro.api import Budget, anytime_minimum_scenario
 
         with pytest.raises(TypeError):
             anytime_minimum_scenario(approval_run, "applicant", Budget(), max_size=3)

@@ -9,7 +9,7 @@ check *cross-module consistency*, not individual features.
 
 import pytest
 
-from repro import (
+from repro.api import (
     SearchBudget,
     audit_program,
     enforce_run,

@@ -4,8 +4,8 @@ A deterministic corpus of fuzzer-generated programs plus the four
 realistic families is pushed through every engine pair — naive vs
 compiled query backends, graph-patched views and the applicable-event
 index's cached rule bodies vs from-scratch recomputation, journal
-recovery vs the live run, and the sharded
-cluster service vs a single shard.  Any divergence fails with a
+recovery vs the live run, and an in-process service (the cluster
+router's worker) vs the offline run.  Any divergence fails with a
 copy-pasteable reproduce one-liner
 (``python -m repro.workloads.fuzz --seed N --steps S``) that replays and
 shrinks the offending program.
@@ -38,9 +38,9 @@ _SCALES = {"smoke": 25, "ci": 200, "nightly": 500}
 _SCALE = os.environ.get("FUZZ_SCALE", "smoke")
 SEEDS = list(range(_SCALES.get(_SCALE, _SCALES["smoke"])))
 
-#: The cluster pair spins up two in-process sharded services per check;
-#: run it on a slice of the corpus so the full sweep stays fast while
-#: every seed still covers backends, dataflow and recovery.
+#: The service pair spins up an in-process service per check; run it on
+#: a slice of the corpus so the full sweep stays fast while every seed
+#: still covers backends, dataflow and recovery.
 CLUSTER_EVERY = 5
 FAST_PAIRS = ("backends", "dataflow", "recovery")
 
