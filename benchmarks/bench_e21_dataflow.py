@@ -39,6 +39,11 @@ and the index's cached valuations) at three points: after applying the
 stream with nobody reading, after ``applicable`` for every acting peer
 and ``view`` for the family's observer, and after ``view`` for every
 peer.  The instance alone is the engine replaying the same stream.
+Then it prices the explainers: the KiB the family observer's explainer
+adds to that run, the KiB every peer's explainers add (the observer's
+included), and, timed without tracemalloc on a fresh copy of the run,
+a late explainer's catch-up in µs per event already applied (best of
+the timing passes).
 
 ``BENCH_E21_SCALE=smoke`` shrinks the sizes for CI and keeps only a
 no-regression sanity bar.  The full run archives its measurements, with
@@ -59,7 +64,7 @@ from pathlib import Path
 from repro.analysis import print_table
 from repro.dataflow import DeltaGraph
 from repro.service.registry import HostedRun
-from repro.workflow import Instance, RunGenerator, parse_program
+from repro.workflow import Event, Instance, RunGenerator, parse_program
 from repro.workflow.engine import apply_event_with_delta, apply_events
 from repro.workflow.eventindex import ApplicableEventIndex
 from repro.workloads import get_family
@@ -171,10 +176,10 @@ def _hosted_memory_kib(name):
     initial = Instance.empty(program.schema.schema)
     acting = list(dict.fromkeys(rule.peer for rule in program.rules))
 
-    def host():
+    def host(stream=events):
         hosted = HostedRun("e21m", program, initial)
-        for start in range(0, len(events), 64):
-            hosted.apply_batch(events[start : start + 64])
+        for start in range(0, len(stream), 64):
+            hosted.apply_batch(stream[start : start + 64])
         return hosted
 
     def read(hosted):
@@ -185,6 +190,13 @@ def _hosted_memory_kib(name):
         for peer in program.schema.peers:
             hosted.view_instance(peer)
         return first, _traced_kib()
+
+    def catch_up_us():
+        # Fresh event objects: nothing memoized on them by earlier passes.
+        hosted = host([Event(event.rule, event.valuation_dict()) for event in events])
+        started = time.perf_counter()
+        hosted.explainer(family.observer)
+        return (time.perf_counter() - started) * 1e6 / len(events)
 
     read(host())  # warm-up: plans compiled and labelled untraced
     gc.collect()
@@ -197,6 +209,11 @@ def _hosted_memory_kib(name):
         hosted = host()
         unread = _traced_kib() - base
         first, every = read(hosted)
+        hosted.explainer(family.observer)
+        observer_explainer = _traced_kib()
+        for peer in program.schema.peers:
+            hosted.explainer(peer)
+        explainers = _traced_kib()
     finally:
         tracemalloc.stop()
     return {
@@ -206,6 +223,11 @@ def _hosted_memory_kib(name):
         "unread_kib": round(unread - instance, 1),
         "acting_and_observer_kib": round(first - base - instance, 1),
         "every_view_kib": round(every - base - instance, 1),
+        "observer_explainer_kib": round(observer_explainer - every, 1),
+        "every_explainer_kib": round(explainers - every, 1),
+        "catch_up_us_per_event": round(
+            min(catch_up_us() for _ in range(ATTEMPTS)), 1
+        ),
     }
 
 
@@ -323,6 +345,9 @@ def test_e21_memory_table(benchmark):
             "unread",
             "acting applicable + observer view",
             "every view",
+            "observer explainer",
+            "every explainer",
+            "catch-up us/ev",
         ],
         [
             [
@@ -331,6 +356,9 @@ def test_e21_memory_table(benchmark):
                 row["unread_kib"],
                 row["acting_and_observer_kib"],
                 row["every_view_kib"],
+                row["observer_explainer_kib"],
+                row["every_explainer_kib"],
+                row["catch_up_us_per_event"],
             ]
             for row in rows
         ],
@@ -338,6 +366,7 @@ def test_e21_memory_table(benchmark):
     for row in rows:
         # Reads only ever add derived state.
         assert row["unread_kib"] <= row["acting_and_observer_kib"] <= row["every_view_kib"]
+        assert 0 < row["observer_explainer_kib"] <= row["every_explainer_kib"]
     if not SMOKE:
         _archive(memory=rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

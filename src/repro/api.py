@@ -55,13 +55,7 @@ from .workflow.statespace import StateSpaceExplorer, fact_reachable
 # ----------------------------------------------------------------------
 # Incremental dataflow: one delta stream behind derived state
 # ----------------------------------------------------------------------
-from .dataflow import (
-    Delta,
-    DeltaEffect,
-    DeltaGraph,
-    delta_visible_to,
-    refresh_view_instance,
-)
+from .dataflow import Delta, DeltaEffect, DeltaGraph
 
 # ----------------------------------------------------------------------
 # Runtime explanations (Sections 3-4): scenarios and faithfulness
@@ -234,8 +228,6 @@ __all__ = [
     "Delta",
     "DeltaEffect",
     "DeltaGraph",
-    "delta_visible_to",
-    "refresh_view_instance",
     # runtime explanations
     "EventSubsequence",
     "Explanation",

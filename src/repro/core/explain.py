@@ -107,31 +107,31 @@ def run_provenance(run: Run) -> ProvenanceLog:
     """The per-event provenance log of *run*, rebuilt by replay.
 
     The service records provenance live, at application time
-    (:class:`repro.service.registry.HostedRun`); this is the offline
-    form for runs that exist only as event logs — one replay, O(|delta|)
-    recording per event.  Each record's ``visible_to`` holds the peers
-    whose view of the transition changed, so explanation citations
-    ("event 3 inserted key k of R, visible to sue") can be grounded in
-    the same structure either way.
+    (:class:`repro.service.registry.HostedRun`); this is the one replay
+    for runs that exist only as event logs — offline runs, and hosted
+    runs rebuilding their log after a recovery.  Only ``run.program``,
+    ``run.initial`` and ``run.events`` are read, so a hosted run passes
+    itself.  Each transition is pushed through a
+    :class:`~repro.dataflow.graph.DeltaGraph`, the fused observation
+    pass the live path records from, so each record's ``visible_to``
+    holds the peers whose view of the transition changed and the records
+    equal live ones (span ids aside).  O(|delta|) recording per event.
     """
-    from ..dataflow.delta import refresh_view_instance
+    from ..dataflow.graph import DeltaGraph
     from ..workflow.engine import apply_event_with_delta
 
     schema = run.program.schema
-    log = ProvenanceLog()
     instance = run.initial
-    views = {peer: schema.view_instance(instance, peer) for peer in schema.peers}
+    graph = DeltaGraph(schema, instance)
+    log = ProvenanceLog()
     for seq, event in enumerate(run.events):
         instance, delta = apply_event_with_delta(
             schema, instance, event, forbidden_fresh=None, check_body=False
         )
-        visible_to = {event.peer}
-        for peer, view in views.items():
-            refreshed = refresh_view_instance(schema, peer, view, delta)
-            if refreshed is not view:
-                visible_to.add(peer)
-                views[peer] = refreshed
-        log.record(seq, event.rule.name, event.peer, delta, visible_to)
+        effect = graph.push(delta, instance)
+        log.record(
+            seq, event.rule.name, event.peer, effect, {event.peer, *effect.changed_peers}
+        )
     return log
 
 

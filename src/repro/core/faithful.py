@@ -47,9 +47,9 @@ class AttributeModification:
 class FaithfulnessAnalysis:
     """Precomputed structure for faithfulness checks over one run.
 
-    Caches the lifecycle index, per-event key occurrences and the
-    attribute modifications each event performs, and exposes the
-    requirement operator ``T_p`` for a fixed peer.
+    Caches the lifecycle index and the attribute modifications each
+    event performs (each event memoizes its own key occurrences), and
+    exposes the requirement operator ``T_p`` for a fixed peer.
     """
 
     def __init__(self, run: Run, peer: str) -> None:
@@ -57,9 +57,6 @@ class FaithfulnessAnalysis:
         self.peer = peer
         self.schema = run.program.schema
         self.lifecycles = LifecycleIndex(run)
-        self._key_occurrences: List[Dict[str, FrozenSet[object]]] = [
-            event.key_occurrences() for event in run.events
-        ]
         self._modifications = self._collect_modifications()
         self._required_cache: Dict[int, FrozenSet[int]] = {}
 
@@ -95,7 +92,7 @@ class FaithfulnessAnalysis:
 
     def key_occurrences(self, position: int) -> Mapping[str, FrozenSet[object]]:
         """``K(R, e_i)`` for every relation R mentioned by the event."""
-        return self._key_occurrences[position]
+        return self.run.events[position].key_occurrences()
 
     # ------------------------------------------------------------------
     # Direct requirements of one event

@@ -9,19 +9,27 @@ lifecycle that ``e`` closes now require ``e``.  Both are handled with a
 single application of the requirement operator per event, avoiding
 fixpoint recomputation from scratch — mirroring the incremental
 maintenance algorithm sketched at the end of Section 4.
+
+The facts the requirement operator needs about each transition do not
+depend on the peer: the lifecycles it opens and closes, the attributes a
+chase merge fills in, and who sees it.  They are read off the run's
+:class:`~repro.obs.provenance.ProvenanceRecord` — the one record of what
+the transition did — and ``K(R, e)`` off the event, which memoizes it.
+What an explainer keeps is what depends on its peer: visibility bits,
+closures, the scenario, the touching sets, and the lifecycle and
+modification dicts it derives from the records.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
 
-from ..dataflow.delta import Delta
-from ..workflow.domain import is_null
+from ..obs.provenance import ProvenanceRecord
 from ..workflow.engine import apply_event_with_delta
 from ..workflow.events import Event
 from ..workflow.instance import Instance
 from ..workflow.program import WorkflowProgram
-from ..workflow.runs import Run
+from ..workflow.runs import Run, execute
 from .faithful import AttributeModification, relevant_attributes
 
 #: A lifecycle is identified by (relation, key, start) where start is
@@ -32,23 +40,17 @@ _LifecycleId = PyTuple[str, object, Optional[int]]
 class IncrementalExplainer:
     """Maintains the minimal p-faithful scenario of a growing run.
 
-    Feed events with :meth:`extend`; query the scenario with
+    Feed events with :meth:`advance` (a transition already applied, read
+    off its provenance record) or :meth:`extend` (the standalone form,
+    which applies the event itself); query the scenario with
     :meth:`minimal_scenario` and per-event explanations with
     :meth:`explanation_of`, both in O(1) bookkeeping per event beyond the
-    new requirement edges.
-
-    :meth:`extend` costs O(|delta|) plus the new requirement edges,
-    never O(|I|): the event is applied with
-    :func:`~repro.workflow.engine.apply_event_with_delta`, whose body
-    check reads the acting peer's view through keyed lookups, and
-    :meth:`advance` follows the transition's
-    :class:`~repro.dataflow.delta.Delta` — complete, since an event
-    touches only the keys in its ground head — for the lifecycles it
-    opens (``inserted``) and closes (``deleted``), the attributes a
-    chase merge fills in (``update`` keys), and whether the peer sees
-    the event (``visible_to``).  A caller that has already applied the
-    event (a hosted run) calls :meth:`advance` with that transition and
-    skips the second application.
+    new requirement edges.  A hosted run advances its explainers with
+    the records its dataflow graph writes, and a late explainer catches
+    up from the run's log, so no hosted explainer applies an event.
+    :meth:`extend` applies at the last instance it reached (O(|delta|),
+    never O(|I|)), which :meth:`advance` does not move: feed one
+    explainer through one of the two.
 
     >>> # explainer = IncrementalExplainer(program, "sue")
     >>> # for event in events: explainer.extend(event)
@@ -64,8 +66,9 @@ class IncrementalExplainer:
         self.program = program
         self.peer = peer
         self.schema = program.schema
-        start = initial if initial is not None else Instance.empty(self.schema.schema)
-        self._instances: List[Instance] = [start]
+        self._initial = initial if initial is not None else Instance.empty(self.schema.schema)
+        #: The last instance :meth:`extend` reached.
+        self._instance = self._initial
         self._events: List[Event] = []
         self._visible: List[bool] = []
         self._closures: List[Set[int]] = []
@@ -74,22 +77,16 @@ class IncrementalExplainer:
         self._open: Dict[PyTuple[str, object], Optional[int]] = {}
         self._closed: Dict[PyTuple[str, object], List[PyTuple[Optional[int], int]]] = {}
         for relation in self.schema.schema:
-            for key in start.keys(relation.name):
+            for key in self._initial.keys(relation.name):
                 self._open[(relation.name, key)] = None  # pre-existing
         # For each open lifecycle, the events whose closure touches it.
         self._touching: Dict[_LifecycleId, Set[int]] = {}
         # Attribute modifications per (relation, key).
         self._modifications: Dict[PyTuple[str, object], List[AttributeModification]] = {}
-        # Per-event key occurrences, cached.
-        self._key_occurrences: List[Mapping[str, FrozenSet[object]]] = []
 
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
-
-    @property
-    def current_instance(self) -> Instance:
-        return self._instances[-1]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -109,41 +106,51 @@ class IncrementalExplainer:
         return tuple(i for i, visible in enumerate(self._visible) if visible)
 
     def run(self) -> Run:
-        """The full run accumulated so far."""
-        return Run(self.program, self._instances[0], self._events, self._instances[1:])
+        """The full run accumulated so far, rebuilt by replaying its events."""
+        return execute(self.program, self._events, self._initial, check_freshness=False)
 
     # ------------------------------------------------------------------
     # Extension
     # ------------------------------------------------------------------
 
     def extend(self, event: Event) -> int:
-        """Append *event* to the run and update all scenario state.
+        """Apply *event* to the run and update all scenario state.
 
         Returns the index of the new event.  Raises
         :class:`~repro.workflow.errors.EventError` if the event is not
         applicable (the run state is left unchanged in that case).
         """
         after, delta = apply_event_with_delta(
-            self.schema, self.current_instance, event, forbidden_fresh=None
+            self.schema, self._instance, event, forbidden_fresh=None
         )
-        return self.advance(event, delta, after)
+        seen = event.peer == self.peer or delta.visible_to(self.schema, self.peer)
+        record = ProvenanceRecord(
+            seq=len(self._events),
+            rule=event.rule.name,
+            peer=event.peer,
+            touched=delta.touched(),
+            visible_to=tuple(sorted({event.peer, self.peer})) if seen else (event.peer,),
+            filled=delta.filled(),
+        )
+        index = self.advance(event, record)
+        self._instance = after
+        return index
 
-    def advance(self, event: Event, delta: Delta, successor: Instance) -> int:
-        """Append an *event* already applied at :attr:`current_instance`.
+    def advance(self, event: Event, record: ProvenanceRecord) -> int:
+        """Append *event*, already applied, given its provenance *record*.
 
-        *delta* and *successor* must be the transition
-        :func:`~repro.workflow.engine.apply_event_with_delta` returns for
-        *event* there (the engine's :class:`~repro.dataflow.delta.Delta`,
-        not a graph effect).  Returns the index of the new event, as
-        :meth:`extend` does.
+        Only ``touched``, ``filled`` and whether ``visible_to`` holds this
+        explainer's peer are read.  Returns the index of the new event,
+        as :meth:`extend` does.
         """
         index = len(self._events)
         self._events.append(event)
-        self._instances.append(successor)
-        self._key_occurrences.append(event.key_occurrences())
-        closed_now = self._update_lifecycles(index, delta)
-        self._record_modifications(index, delta)
-        visible = event.peer == self.peer or delta.visible_to(self.schema, self.peer)
+        closed_now = self._update_lifecycles(index, record)
+        for relation, key, attribute in record.filled:
+            self._modifications.setdefault((relation, key), []).append(
+                AttributeModification(index, relation, key, attribute)
+            )
+        visible = self.peer in record.visible_to
         self._visible.append(visible)
         # Closure of the new event: itself plus the closures of its
         # direct requirements (each already a fixpoint; the union is one
@@ -167,34 +174,25 @@ class IncrementalExplainer:
     # Internals
     # ------------------------------------------------------------------
 
-    def _update_lifecycles(self, index: int, delta: Delta) -> List[_LifecycleId]:
+    def _update_lifecycles(
+        self, index: int, record: ProvenanceRecord
+    ) -> List[_LifecycleId]:
         """Open/close lifecycles; return ids of lifecycles closed at *index*.
 
-        The delta lists every key the event touched, so the keys it
+        The record lists every key the event touched, so the keys it
         removed close their lifecycles and the keys it added open new
-        ones; a chase merge into an existing key does neither.
+        ones; a chase merge into an existing key (``update``) does
+        neither.
         """
         closed_now: List[_LifecycleId] = []
-        for name in delta.changes:
-            for key in delta.deleted(name):
+        for name, key, action in record.touched:
+            if action == "delete":
                 start = self._open.pop((name, key))
                 self._closed.setdefault((name, key), []).append((start, index))
                 closed_now.append((name, key, start))
-            for key in delta.inserted(name):
+            elif action == "insert":
                 self._open[(name, key)] = index
         return closed_now
-
-    def _record_modifications(self, index: int, delta: Delta) -> None:
-        """Record the attributes a chase merge filled in (⊥ → value)."""
-        for relation, keys in delta.changes.items():
-            for key, (old, new) in keys.items():
-                if old is None or new is None:
-                    continue
-                for attribute in old.attributes:
-                    if is_null(old[attribute]) and not is_null(new[attribute]):
-                        self._modifications.setdefault((relation, key), []).append(
-                            AttributeModification(index, relation, key, attribute)
-                        )
 
     def _lifecycle_at(
         self, relation: str, key: object, position: int
@@ -211,7 +209,7 @@ class IncrementalExplainer:
 
     def _direct_requirements(self, index: int, event: Event) -> Set[int]:
         required: Set[int] = set()
-        for relation, keys in self._key_occurrences[index].items():
+        for relation, keys in event.key_occurrences().items():
             relevant = relevant_attributes(self.schema, relation, event.peer) | \
                 relevant_attributes(self.schema, relation, self.peer)
             for key in keys:
@@ -237,7 +235,7 @@ class IncrementalExplainer:
     def _touch_points(self, member: int) -> List[_LifecycleId]:
         """Open lifecycles the event at *member* lies in and mentions."""
         points: List[_LifecycleId] = []
-        for relation, keys in self._key_occurrences[member].items():
+        for relation, keys in self._events[member].key_occurrences().items():
             for key in keys:
                 open_start = self._open.get((relation, key), _MISSING)
                 if open_start is _MISSING:

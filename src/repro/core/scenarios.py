@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from ..runtime.budget import Budget, checkpoint
-from ..dataflow.delta import refresh_view_instance
 from ..workflow.engine import apply_event_with_delta
 from ..workflow.errors import BudgetExceeded, EventError
 from ..workflow.events import Event
@@ -175,7 +174,7 @@ class _ScenarioSearch:
         # O(|delta|) patch per replayed event instead of recomputing
         # I@p from the whole instance (refresh returns the same object
         # when the transition is invisible to the peer).
-        successor_view = refresh_view_instance(self.schema, self.peer, view, delta)
+        successor_view = delta.refresh_view(self.schema, self.peer, view)
         visible = event.peer == self.peer or successor_view is not view
         new_matched = matched
         if visible:

@@ -9,13 +9,7 @@ event.  See ``docs/DATAFLOW.md`` for the design and the migration table
 from the pre-dataflow entry points.
 """
 
-from .delta import Delta, delta_visible_to, refresh_view_instance
+from .delta import Delta
 from .graph import DeltaEffect, DeltaGraph
 
-__all__ = [
-    "Delta",
-    "DeltaEffect",
-    "DeltaGraph",
-    "delta_visible_to",
-    "refresh_view_instance",
-]
+__all__ = ["Delta", "DeltaEffect", "DeltaGraph"]

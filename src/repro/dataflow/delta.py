@@ -13,7 +13,7 @@ plus the unified accessors:
 
 * :meth:`inserted` / :meth:`deleted` / :meth:`updated` — the touched
   keys by kind;
-* :meth:`touched` — the provenance triples;
+* :meth:`touched` / :meth:`filled` — the provenance triples;
 * :meth:`observe` / :meth:`visible_to` / :meth:`refresh_view` — the
   delta lifted through one peer's views (selection + projection on the
   touched keys only, never a scan).
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # annotation-only: keeps this module import-cycle-free
     from ..workflow.tuples import Tuple
     from ..workflow.views import CollaborativeSchema
 
-__all__ = ["Delta", "delta_visible_to", "refresh_view_instance"]
+__all__ = ["Delta"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,17 @@ class Delta:
                 triples.append((relation, key, action))
         triples.sort(key=lambda t: (t[0], repr(t[1])))
         return tuple(triples)
+
+    def filled(self) -> PyTuple[PyTuple[str, object, str], ...]:
+        """``(relation, key, attribute)`` triples a chase merge filled in
+        (⊥ → value): Section 4's attribute modifications."""
+        return tuple(
+            (relation, key, attribute)
+            for relation, keys in self.changes.items()
+            for key, (before, after) in keys.items()
+            if before is not None and after is not None
+            for attribute in before.filled_by(after)
+        )
 
     # ------------------------------------------------------------------
     # The view surface (the delta lifted through one peer's views)
@@ -196,17 +207,3 @@ class Delta:
                     )
         return cls(changes)
 
-
-def delta_visible_to(schema: CollaborativeSchema, peer: str, delta: Delta) -> bool:
-    """Function form of :meth:`Delta.visible_to` (the engine's old name)."""
-    return delta.visible_to(schema, peer)
-
-
-def refresh_view_instance(
-    schema: CollaborativeSchema,
-    peer: str,
-    view_instance: Instance,
-    delta: Delta,
-) -> Instance:
-    """Function form of :meth:`Delta.refresh_view` (the engine's old name)."""
-    return delta.refresh_view(schema, peer, view_instance)

@@ -3,8 +3,8 @@ artifact maintained.
 
 Before this module each derived artifact re-derived the same
 observations from the transition delta on its own: the view cache
-re-observed every touched key per peer, ``delta_visible_to`` observed
-them again per visibility question, the applicable-event index a third
+re-observed every touched key per peer, each visibility question
+observed them again, the applicable-event index a third
 time per acting peer, and the provenance log walked the delta once
 more.  :class:`DeltaGraph` performs the observation pass **once** per
 transition — every touched key through every peer's view — and hands
@@ -26,8 +26,8 @@ Rule bodies are not maintained here: the applicable-event index
 effect, invalidates the rules whose views changed and re-runs their
 compiled closures over :meth:`snapshot` — the system's one incremental
 rule-maintenance path.  Nor are explanations: a hosted run advances its
-explainers itself, with the engine's own transition delta, after the
-push.
+explainers itself, after the push, with the provenance record its
+subscriber wrote.
 
 Per transition the cost is O(|delta| · #peers) plus O(|delta|) per
 consumer and per materialized view — never O(|instance|).  The
@@ -62,9 +62,9 @@ class DeltaEffect:
     The fused result of a :meth:`DeltaGraph.push`: the raw
     :class:`~repro.dataflow.delta.Delta` plus, per peer, the touched
     keys as that peer saw them before and after.  Exposes the same
-    ``changes`` / ``touched()`` surface as ``Delta`` (it is accepted
-    anywhere a delta is), so consumers read the precomputed observations
-    instead of re-deriving them.
+    ``changes`` / ``touched()`` / ``filled()`` surface as ``Delta`` (it
+    is accepted anywhere a delta is), so consumers read the precomputed
+    observations instead of re-deriving them.
     """
 
     __slots__ = ("delta", "observed", "changed", "changed_peers", "context")
@@ -104,6 +104,9 @@ class DeltaEffect:
 
     def touched(self) -> PyTuple[PyTuple[str, object, str], ...]:
         return self.delta.touched()
+
+    def filled(self) -> PyTuple[PyTuple[str, object, str], ...]:
+        return self.delta.filled()
 
     # -- the per-peer observations -------------------------------------
 

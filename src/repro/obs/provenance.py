@@ -1,34 +1,44 @@
-"""Per-run provenance: which events touched which tuples and peer views.
+"""Per-run provenance: the one record of what each transition did.
 
 ProvDB-style lifecycle provenance for hosted runs: every applied event
 leaves one :class:`ProvenanceRecord` — its sequence number, rule, acting
-peer, the ``(relation, key)`` pairs its transition touched (read off the
-transition's :class:`~repro.dataflow.delta.Delta`, so recording is
-O(|delta|)), and the peers whose views the transition changed.  The log
-is queryable in both directions:
+peer, the ``(relation, key, action)`` pairs its transition touched, the
+attributes a chase merge filled in (``filled``), and the peers whose
+views the transition changed — all read off the transition's
+:class:`~repro.dataflow.delta.Delta` (or the dataflow graph's
+:class:`~repro.dataflow.graph.DeltaEffect` wrapping it), so recording is
+O(|delta|).  The log is queryable in both directions:
 
 * :meth:`ProvenanceLog.events_touching` — "which events wrote this
   tuple?" (key-level provenance of the current database state);
 * :meth:`ProvenanceLog.events_visible_to` — "which events changed what
-  this peer sees?" (view-level provenance).
+  this peer sees?" (view-level provenance);
+
+and by position: seqs run 0, 1, 2, ... (:meth:`ProvenanceLog.record`
+refuses a gap), so :meth:`ProvenanceLog.get` and
+:meth:`ProvenanceLog.citations` index the log instead of scanning it.
 
 The paper's explanations are provenance queries over exactly this
 structure: a scenario is a set of event positions, and citing each
 position's record grounds the explanation in what the system *recorded*
 happening rather than a replay.  The service's ``explain`` op attaches
 these citations; the ``provenance`` op exposes the queries directly.
-
-The module is dependency-free: deltas are consumed through their
-``touched()`` accessor (or, failing that, their ``changes`` mapping —
-relation -> key -> (before, after)) without importing the dataflow
-layer, so the log can also archive spans or journal entries from other
-layers.
+The record is also what the explanations are computed from: a hosted
+:class:`~repro.core.incremental.IncrementalExplainer` reads Section 4's
+lifecycle opens (``insert``) and closes (``delete``), attribute
+modifications (``filled``) and visibility (``visible_to``) off it.
+``filled`` is recorded but never cited — :meth:`ProvenanceRecord.to_dict`
+leaves it out, so citations keep their wire format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+
+if TYPE_CHECKING:
+    from ..dataflow.delta import Delta
+    from ..dataflow.graph import DeltaEffect
 
 __all__ = ["ProvenanceLog", "ProvenanceRecord"]
 
@@ -49,6 +59,9 @@ class ProvenanceRecord:
     #: The id of the tracing span that covered the application, when
     #: tracing was on — lets a provenance answer link back to timings.
     span_id: Optional[int] = None
+    #: ``(relation, key, attribute)`` triples a chase merge filled in
+    #: (⊥ → value).  Recorded for the explainers, not cited.
+    filled: Tuple[Tuple[str, Any, str], ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -68,31 +81,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
-
-
-def _touched_from_delta(delta: Any) -> Tuple[Tuple[str, Any, str], ...]:
-    """``(relation, key, action)`` triples from a delta-shaped object.
-
-    A :class:`~repro.dataflow.delta.Delta` (or a graph effect wrapping
-    one) answers through its ``touched()`` accessor; any other object
-    with a ``changes`` mapping is derived the long way, so stand-ins
-    and archived journal shapes keep working.
-    """
-    touched_accessor = getattr(delta, "touched", None)
-    if callable(touched_accessor):
-        return tuple(touched_accessor())
-    touched: List[Tuple[str, Any, str]] = []
-    for relation, keys in delta.changes.items():
-        for key, (before, after) in keys.items():
-            if before is None:
-                action = "insert"
-            elif after is None:
-                action = "delete"
-            else:
-                action = "update"
-            touched.append((relation, key, action))
-    touched.sort(key=lambda t: (t[0], repr(t[1])))
-    return tuple(touched)
 
 
 class ProvenanceLog:
@@ -122,25 +110,29 @@ class ProvenanceLog:
         seq: int,
         rule: str,
         peer: str,
-        delta: Any,
+        delta: "Union[Delta, DeltaEffect]",
         visible_to: Iterable[str],
         span_id: Optional[int] = None,
     ) -> ProvenanceRecord:
         """Append the provenance of one applied event.
 
-        *delta* is anything with a ``touched()`` accessor or a
-        delta-shaped ``changes`` mapping;
-        *visible_to* are the peers whose views the transition changed
-        (the acting peer should be included by the caller when its event
-        is visible-by-definition).
+        *seq* must be the log's length: the run's events are recorded in
+        order, from the first.  *visible_to* are the peers whose views
+        the transition changed (the acting peer should be included by
+        the caller when its event is visible-by-definition).
         """
+        if seq != len(self._records):
+            raise ValueError(
+                f"provenance seq {seq} out of order (next is {len(self._records)})"
+            )
         record = ProvenanceRecord(
             seq=seq,
             rule=rule,
             peer=peer,
-            touched=_touched_from_delta(delta),
+            touched=delta.touched(),
             visible_to=tuple(sorted(set(visible_to))),
             span_id=span_id,
+            filled=delta.filled(),
         )
         self._records.append(record)
         for relation, key, _action in record.touched:
@@ -164,9 +156,8 @@ class ProvenanceLog:
 
     def get(self, seq: int) -> Optional[ProvenanceRecord]:
         """The record with sequence number *seq* (None when unknown)."""
-        for record in self._records:
-            if record.seq == seq:
-                return record
+        if 0 <= seq < len(self._records):
+            return self._records[seq]
         return None
 
     def events_touching(
@@ -184,12 +175,13 @@ class ProvenanceLog:
     def citations(self, seqs: Iterable[int]) -> List[Dict[str, Any]]:
         """The records for *seqs* as dicts (for explain responses).
 
-        Unknown seqs are skipped — a scenario computed on a recovered
-        run may cite positions the in-memory log never saw.
+        In seq order, each once; unknown seqs are skipped.
         """
-        wanted = set(seqs)
+        records = self._records
         return [
-            record.to_dict() for record in self._records if record.seq in wanted
+            records[seq].to_dict()
+            for seq in sorted(set(seqs))
+            if 0 <= seq < len(records)
         ]
 
     def to_dicts(self) -> List[Dict[str, Any]]:

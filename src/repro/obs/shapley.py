@@ -70,12 +70,15 @@ def shapley_values(
 
     Returns ``(method_used, {player: value})``.  *value* must be
     memo-friendly (it is called on frozensets, many times); this function
-    memoizes it internally so callers can pass a plain closure.
+    memoizes it internally so callers can pass a plain closure.  Raises
+    :class:`ValueError` for an unknown *method* or *samples* below 1.
     """
     players = list(players)
     n = len(players)
     if method not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown Shapley method {method!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     if method == "auto":
         method = "exact" if n <= exact_limit else "sampled"
     if not players:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple as PyTuple, Union
 
+from ..core.explain import run_provenance
 from ..core.incremental import IncrementalExplainer
 from ..obs.metrics import METRICS
 from ..obs.provenance import ProvenanceLog
@@ -113,9 +114,10 @@ class HostedRun:
     peer (read by both ``view`` and the applicable-event index), and
     fans each delta out to the provenance recorder — and
     one :class:`~repro.core.incremental.IncrementalExplainer` per peer
-    that has asked for explanations, advanced in lockstep with the run
-    by the run's own transitions so explanation queries never replay
-    and no event is applied twice.
+    that has asked for explanations.  The provenance log is the run's
+    one record of each transition: an explainer catches up from it when
+    wired and then advances with each record the push writes, so no
+    explainer applies an event and explanation queries never replay.
     """
 
     def __init__(
@@ -151,12 +153,12 @@ class HostedRun:
         #: Per-event provenance, recorded at application time.  A run
         #: constructed over an existing event history (recovery,
         #: rehydration, a promoted replica) starts with a log missing
-        #: that prefix; :meth:`provenance_log` rebuilds it by replay on
-        #: first read, so provenance answers are identical whether the
-        #: run lived in one process or was recovered — events determine
-        #: runs, and they determine provenance too.
+        #: that prefix and records nothing until :meth:`provenance_log`
+        #: rebuilds it by replay on first read, so provenance answers
+        #: are identical whether the run lived in one process or was
+        #: recovered — events determine runs, and they determine
+        #: provenance too.
         self.provenance = ProvenanceLog(run_id)
-        self._provenance_complete = not self.events
 
     # ------------------------------------------------------------------
     # Application
@@ -171,12 +173,13 @@ class HostedRun:
 
         Reads the application context (``seq``, ``event``, ``span_id``)
         off the effect; pushes without an event context (none today)
+        and pushes onto a log still missing the run's earlier events
         record nothing.  The changed peers come from the graph's fused
         observation pass, so recording is exact whether or not any view
         has been materialized.
         """
         event = effect.context.get("event")
-        if event is None:
+        if event is None or effect.context["seq"] != len(self.provenance):
             return
         visible_to = set(effect.changed_peers)
         visible_to.add(event.peer)
@@ -196,10 +199,11 @@ class HostedRun:
         the run and *effect* the :class:`~repro.dataflow.graph.DeltaEffect`
         of the push (it exposes the full delta surface).  The push
         patches the materialized views and records provenance in one
-        O(|delta|) pass; the applicable-event index and the explainers
-        advance right after.  Raises the engine's :class:`EventError`/
-        :class:`ChaseFailure` unchanged when the event does not apply —
-        classification (retry/quarantine) is the broker's job.  A
+        O(|delta|) pass; the applicable-event index advances right
+        after, and the explainers with the provenance record.  Raises
+        the engine's :class:`EventError`/:class:`ChaseFailure` unchanged
+        when the event does not apply — classification
+        (retry/quarantine) is the broker's job.  A
         :class:`~repro.runtime.faults.DiskFault` from the journal also
         propagates *before* any in-memory state changes: the event was
         not acknowledged and a retry observes a self-healed store.
@@ -218,7 +222,7 @@ class HostedRun:
         if self._event_index is not None:
             self._event_index.advance(effect, result)
         for explainer in self._explainers.values():
-            explainer.advance(event, delta, result)
+            explainer.advance(event, self.provenance.get(seq))
         return seq, effect
 
     def apply_batch(
@@ -274,7 +278,7 @@ class HostedRun:
                     delta, result, seq=seq, event=event, span_id=span_id
                 )
                 for explainer in self._explainers.values():
-                    explainer.advance(event, delta, result)
+                    explainer.advance(event, self.provenance.get(seq))
                 committed.append((effect, result))
                 results.append((seq, effect, self.view_version(event.peer)))
         except BaseException as exc:
@@ -296,28 +300,17 @@ class HostedRun:
 
         A run hosted over pre-existing events (recovery, rehydration, a
         promoted replica) is missing the provenance of that prefix; the
-        first read replays the event history through a fresh
-        :class:`~repro.dataflow.graph.DeltaGraph` — the same fused
-        observation pass :meth:`apply` records with — so the rebuilt
-        records equal what live recording would have produced.  Span
-        ids are the one exception: they capture which tracing span
-        covered the original application, which a replay cannot
-        recover, so a rebuilt log carries none.
+        first read rebuilds it with
+        :func:`~repro.core.explain.run_provenance` — one replay through
+        the same fused observation pass :meth:`apply` records with — so
+        the rebuilt records equal what live recording would have
+        produced.  Span ids are the one exception: they capture which
+        tracing span covered the original application, which a replay
+        cannot recover, so a rebuilt log carries none.
         """
-        if not self._provenance_complete:
-            log = ProvenanceLog(self.run_id)
-            instance = self.initial
-            graph = DeltaGraph(self.program.schema, instance)
-            for seq, event in enumerate(self.events):
-                instance, delta = apply_event_with_delta(
-                    self.program.schema, instance, event, forbidden_fresh=None
-                )
-                effect = graph.push(delta, instance)
-                visible_to = set(effect.changed_peers)
-                visible_to.add(event.peer)
-                log.record(seq, event.rule.name, event.peer, effect, visible_to)
-            self.provenance = log
-            self._provenance_complete = True
+        if len(self.provenance) != len(self.events):
+            self.provenance = run_provenance(self)
+            self.provenance.run_id = self.run_id
         return self.provenance
 
     def record_quarantine(self, event: Event, error: str, attempts: int) -> None:
@@ -374,15 +367,17 @@ class HostedRun:
     def explainer(self, peer: str) -> IncrementalExplainer:
         """The peer's incremental explainer, created (and caught up) lazily.
 
-        The first explanation query for a (run, peer) pays one replay of
-        the event log; every later query is served from the maintained
-        closure state without replay.
+        The first explanation query for a (run, peer) catches up from
+        the run's provenance records, applying no event (after a
+        recovery, :meth:`provenance_log` replays the run once for all
+        its explainers); every later query is served from the
+        maintained closure state.
         """
         explainer = self._explainers.get(peer)
         if explainer is None:
             explainer = IncrementalExplainer(self.program, peer, initial=self.initial)
-            for event in self.events:
-                explainer.extend(event)
+            for event, record in zip(self.events, self.provenance_log().records()):
+                explainer.advance(event, record)
             self._explainers[peer] = explainer
         return explainer
 

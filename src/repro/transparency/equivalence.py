@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
 
-from ..dataflow.delta import delta_visible_to
 from ..workflow.engine import apply_event, apply_event_with_delta
 from ..workflow.enumerate import applicable_events
 from ..workflow.events import Event
@@ -211,7 +210,7 @@ def find_source_run(
                 continue
             # Visibility from the transition's delta: O(touched keys)
             # instead of two whole-instance view computations.
-            if event.peer == peer or delta_visible_to(schema, peer, delta):
+            if event.peer == peer or delta.visible_to(schema, peer):
                 if observation.own_event is not None:
                     rule_name, valuation = observation.own_event
                     if event.peer != peer or event.rule.name != rule_name:

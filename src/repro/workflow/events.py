@@ -123,14 +123,19 @@ class Event:
             names.add(atom.view.relation.name)
         return frozenset(names)
 
-    def key_occurrences(self) -> Dict[str, FrozenSet[object]]:
+    def key_occurrences(self) -> Mapping[str, FrozenSet[object]]:
         """Mapping relation name -> ``K(R, e)`` for relations in the event.
 
         One pass over the rule: each key term (of a relational or key
         literal in the body, or of a head update) is read off the
         valuation; null keys are dropped, but their relation is still
-        mentioned.
+        mentioned.  Computed once per event and shared by every caller
+        (do not mutate it); the memo is not a dataclass field, so it
+        leaves ``==``, ``hash`` and serialization alone.
         """
+        memo = self.__dict__.get("_key_occurrences")
+        if memo is not None:
+            return memo
         valuation = self.valuation_dict()
         keys: Dict[str, Set[object]] = {}
         for part in self.rule.body.literals + self.rule.head:
@@ -141,7 +146,9 @@ class Event:
             found = keys.setdefault(part.view.relation.name, set())
             if not is_null(value):
                 found.add(value)
-        return {name: frozenset(found) for name, found in keys.items()}
+        memo = {name: frozenset(found) for name, found in keys.items()}
+        object.__setattr__(self, "_key_occurrences", memo)
+        return memo
 
     def __repr__(self) -> str:
         assignment = ", ".join(f"{var.name}={value!r}" for var, value in self.valuation)

@@ -138,6 +138,15 @@ class Tuple:
     def non_null_attributes(self) -> PyTuple[str, ...]:
         return tuple(a for a, v in zip(self.attributes, self.values) if not is_null(v))
 
+    def filled_by(self, other: "Tuple") -> PyTuple[str, ...]:
+        """The attributes ⊥ here and not ⊥ in *other* (over the same
+        attributes): what a chase merge into this tuple filled in."""
+        return tuple(
+            a
+            for a, mine, theirs in zip(self.attributes, self.values, other.values)
+            if is_null(mine) and not is_null(theirs)
+        )
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Tuple)

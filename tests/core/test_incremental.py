@@ -61,7 +61,8 @@ class TestExample42:
             explainer.extend(event)
         run = explainer.run()
         assert len(run) == 4
-        assert run.final_instance == explainer.current_instance
+        assert list(run.events) == events
+        assert run.final_instance == execute(approval, events).final_instance
 
 
 class TestLifecycleClosureUpdates:

@@ -59,10 +59,14 @@ def assert_graph_tracks_run(program, run):
         assert effect.context == {"tag": "checked"}
         assert graph.snapshot() == successor
         for peer in schema.peers:
-            # Patched views ≡ recomputed views.
+            # Patched views ≡ recomputed views, through the graph and
+            # through the delta's own patch.
             assert graph.snapshot(peer) == schema.view_instance(
                 successor, peer
             )
+            assert delta.refresh_view(
+                schema, peer, schema.view_instance(before, peer)
+            ) == schema.view_instance(successor, peer)
             # The fused visibility verdict ≡ the per-question form
             # ≡ comparing whole view instances.
             recomputed = schema.view_instance(before, peer) != (

@@ -1,21 +1,18 @@
 """Pin the small public surface the property suites reach only obliquely.
 
-The Delta accessors on hand-built transitions (update actions), the
-function forms, and the DeltaEffect delegation layer — cheap direct
-calls so the contract of each name is pinned, not just the paths the
-differential suites happen to cross.
+The Delta accessors on hand-built transitions (update actions) and the
+DeltaEffect delegation layer — cheap direct calls so the contract of
+each name is pinned, not just the paths the differential suites happen
+to cross.
 """
 
 from __future__ import annotations
 
-from repro.dataflow import (
-    Delta,
-    DeltaGraph,
-    delta_visible_to,
-    refresh_view_instance,
-)
+from repro.dataflow import Delta, DeltaGraph
+from repro.workflow.domain import NULL
 from repro.workflow.engine import apply_event_with_delta
 from repro.workflow.enumerate import RunGenerator
+from repro.workflow.tuples import Tuple
 from repro.workloads.generators import churn_program
 
 
@@ -48,23 +45,17 @@ class TestDeltaAccessors:
         assert self.delta.updated("R") == (3,)
         assert self.delta.updated("S") == ()
 
+    def test_filled_lists_the_nulls_a_merge_filled(self):
+        before = Tuple(("K", "a", "b"), (3, NULL, "x"))
+        after = Tuple(("K", "a", "b"), (3, "y", "x"))
+        delta = Delta(changes={"R": {3: (before, after), 4: (None, after)}})
+        assert delta.filled() == (("R", 3, "a"),)
+
     def test_touched_actions_cover_all_three_kinds(self):
         actions = {(rel, key): action for rel, key, action in self.delta.touched()}
         assert actions[("R", 1)] == "insert"
         assert actions[("R", 2)] == "delete"
         assert actions[("R", 3)] == "update"
-
-    def test_function_forms_match_the_methods(self):
-        program, run, delta, _, _ = one_push()
-        schema = program.schema
-        for peer in schema.peers:
-            assert delta_visible_to(schema, peer, delta) == delta.visible_to(
-                schema, peer
-            )
-            old_view = schema.view_instance(run.initial, peer)
-            assert refresh_view_instance(
-                schema, peer, old_view, delta
-            ) == schema.view_instance(run.instances[0], peer)
 
 
 class TestDeltaEffectDelegation:
@@ -74,6 +65,7 @@ class TestDeltaEffectDelegation:
         assert effect.chase_merged == delta.chase_merged
         assert effect.is_empty() == delta.is_empty()
         assert effect.touched() == delta.touched()
+        assert effect.filled() == delta.filled()
 
 
 class TestGraphSurface:

@@ -130,6 +130,13 @@ class TestShapleyValues:
         method, values = shapley_values([], lambda s: 0.0, method="auto")
         assert values == {}
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            shapley_values([0, 1], lambda s: 0.0, method="sampled", samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            shapley_rank(chain_run(), "sue", method="sampled", samples=samples)
+
 
 class TestGames:
     def test_fact_game_rejects_unknown_relation(self):

@@ -6,7 +6,9 @@ peer's view only when something reads it; the ``view`` op and the
 applicable-event index then read that same instance.  A peer's view
 version is ``applied + 1`` wherever the service reports one — submit
 acks, submit_batch acks and view answers — through eviction,
-rehydration and crash recovery.
+rehydration and crash recovery.  A run back from eviction or a crash
+replays its events once, to rebuild its provenance log, however many
+explainers it then wires.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro.dataflow import DeltaGraph
 from repro.service import WorkflowService
 from repro.service.registry import HostedRun
-from repro.workflow import Event, FreshValue, Instance, RunGenerator, Var
+from repro.workflow import Event, FreshValue, Instance, RunGenerator, Var, engine
 from repro.workflow.engine import apply_event_with_delta, apply_events
 from repro.workflow.eventindex import ApplicableEventIndex
 from repro.workflow.queries import Query
@@ -101,6 +103,57 @@ def test_versions_are_applied_plus_one_through_eviction_and_recovery(tmp_path):
             index += 1
             await check_views(service, run)
         await service.aclose()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("comeback", ["rehydrate", "recover"])
+def test_a_returned_run_replays_once_for_its_explainers(
+    stream, comeback, tmp_path, monkeypatch
+):
+    """After eviction or a crash, a run's first ``explain`` rebuilds its
+    provenance with one replay, and every explainer it wires catches up
+    from those records; the answers equal a never-evicted run's."""
+    program, run = stream
+    peers = program.schema.peers[:2]
+    batch = [{"event": event_to_dict(event)} for event in run.events]
+    applied = []
+    original = engine._apply_event
+
+    def counting(schema, instance, event, *args, **kwargs):
+        applied.append(event)
+        return original(schema, instance, event, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_apply_event", counting)
+
+    async def explain_all(service):
+        answers = []
+        for peer in peers:
+            answer = await ok(service, op="explain", run="r", peer=peer)
+            for citation in answer["provenance"]:
+                citation.pop("span_id", None)
+            answers.append({key: answer[key] for key in ("scenario", "rules", "provenance")})
+        return answers
+
+    async def scenario():
+        reference = WorkflowService(program)
+        service = WorkflowService(program, storage=f"segment:{tmp_path}", max_resident=1)
+        for each in (reference, service):
+            await ok(each, op="open", run="r")
+            await ok(each, op="submit_batch", run="r", events=batch)
+        if comeback == "rehydrate":
+            await ok(service, op="open", run="other")
+            assert service.registry.evicted_count() == 1
+            await service.registry.get("r")
+            assert service.registry.rehydrations == 1
+        else:
+            await service.registry.crash_and_recover("r")
+        applied.clear()
+        answers = await explain_all(service)
+        assert applied == list(run.events)
+        assert answers == await explain_all(reference)
+        await service.aclose()
+        await reference.aclose()
 
     asyncio.run(scenario())
 

@@ -1,16 +1,17 @@
 """The write path applies events without materializing a peer view.
 
 An event's body is checked through keyed reads of the acting peer's
-view and the explainers follow the transition's delta, so no step an
+view and the explainers follow the transition's record, so no step an
 event takes into a hosted run calls ``CollaborativeSchema.view_instance``
 (an O(|I|) rebuild).  A counting patch over it pins the write path at
 O(|delta|) per event: these tests fail if a whole-view rebuild comes
 back on any of its entry points.
 
-A hosted run's explainers advance with the run's own transition, so
-the engine applies each event once however many explainers are wired;
-a second counting patch, over the engine's single application path,
-pins that.
+A hosted run's explainers advance with the provenance record of the
+run's own transition, and a late one catches up from the run's records,
+so the engine applies each event once however many explainers are
+wired, and whenever; a second counting patch, over the engine's single
+application path, pins that.
 """
 
 from __future__ import annotations
@@ -139,6 +140,20 @@ def test_hosted_run_applies_each_event_once(stream, engine_applications):
     assert engine_applications == list(run.events)
 
 
+def test_wiring_an_explainer_applies_no_event(stream, engine_applications):
+    """A late explainer catches up from the run's provenance records."""
+    observer, program, run = stream
+    hosted = HostedRun("r", program, Instance.empty(program.schema.schema))
+    singles, batches = _split(list(run.events))
+    for event in singles:
+        hosted.apply(event)
+    for batch in batches:
+        hosted.apply_batch(batch)
+    engine_applications.clear()
+    hosted.explainer(observer)
+    assert engine_applications == []
+
+
 def test_hosted_explainers_match_standalone(stream):
     """Explainers advanced by the run's transitions (wired before the
     first event, or caught up midway) answer exactly as explainers that
@@ -166,4 +181,3 @@ def test_hosted_explainers_match_standalone(stream):
             reference.explanation_of(i) for i in range(len(run.events))
         ]
         assert served.visible_indices() == reference.visible_indices()
-        assert served.current_instance == reference.current_instance

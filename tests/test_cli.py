@@ -157,6 +157,15 @@ class TestExplain:
         assert "Shapley ranking toward Hire@sue" in out
         assert "16 samples, seed 4" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_rank_samples_below_one_rejected(self, program_file, capsys, samples):
+        code = main(
+            ["explain", program_file, "--peer", "sue", "--steps", "4",
+             "--rank", "--rank-method", "sampled", "--rank-samples", samples]
+        )
+        assert code == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+
     def test_rank_unknown_target_rejected(self, program_file, capsys):
         code = main(
             ["explain", program_file, "--peer", "sue", "--steps", "4",

@@ -1,11 +1,12 @@
 """Retired names stay retired.
 
 The delta-facing entry points moved into :mod:`repro.dataflow`
-(``ViewDelta`` -> ``Delta``, plus the ``delta_visible_to`` /
-``refresh_view_instance`` function forms).  The old engine and
-``repro.workflow`` spellings kept working for one release through PEP
-562 module ``__getattr__`` shims; that release is over, so the shims
-and ``repro.deprecation`` are gone.  This suite pins that — and that
+(``ViewDelta`` -> ``Delta``, and the ``delta_visible_to`` /
+``refresh_view_instance`` function forms -> the ``Delta.visible_to`` /
+``Delta.refresh_view`` methods).  The old engine and ``repro.workflow``
+spellings kept working for one release through PEP 562 module
+``__getattr__`` shims; that release is over, so the shims and
+``repro.deprecation`` are gone, and so are the function forms.  This suite pins that — and that
 the *previous* generation of shims (the renamed search-limit kwargs
 and pre-backend toggles) is gone too, so nothing resurrects them
 silently.  The multiprocessing search engine went whole: its package,
@@ -52,11 +53,15 @@ class TestMovedDeltaNames:
     def test_new_locations_are_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            from repro.dataflow import (  # noqa: F401
-                Delta,
-                delta_visible_to,
-                refresh_view_instance,
-            )
+            from repro.dataflow import Delta  # noqa: F401
+
+    def test_function_forms_are_gone(self):
+        import repro.api as api
+        import repro.dataflow as dataflow
+
+        for name in ("delta_visible_to", "refresh_view_instance"):
+            assert not hasattr(dataflow, name)
+            assert name not in api.__all__
 
     def test_unknown_engine_attribute_still_raises(self):
         import repro.workflow.engine as engine
