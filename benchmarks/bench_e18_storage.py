@@ -19,14 +19,25 @@ Three questions, one per table:
   resident run alternating between two runs pays a full rehydration
   (read + decode + tail replay + view rebuild) per switch; the table
   prices that against the same traffic with both runs resident.
-  Rehydration must stay O(tail), not O(run), thanks to the snapshots.
+  Rehydration must stay O(tail), not O(run), thanks to the snapshots;
+  the table reports the tail each rehydration replays.
 
-* **E18d** — compaction.  What one ``SegmentStore.compact()`` costs
-  under flush durability as the history grows, at the moment the
-  service compacts: ``snapshot_every`` 10, four snapshots written
-  since the previous compaction.  Compaction copies the kept lines
-  verbatim (CRC-checked, never re-encoded), so its cost is the bytes
-  it copies plus two fsyncs; the table reports both.
+* **E18d** — compaction.  What one offline ``SegmentStore.compact()``
+  (``repro compact``) costs under flush durability as the history
+  grows, with ``snapshot_every`` 10 and four snapshots written since
+  the kept one.  Compaction copies the kept lines verbatim
+  (CRC-checked, never re-encoded), so its cost is the bytes it copies,
+  two fsyncs, the MANIFEST it replaces and the segment it deletes; the
+  table reports the time and the bytes.
+
+* **E18e** — the served write path.  One 600-event cicd run and one
+  procurement run on a segment store under flush durability, through
+  ``HostedRun.apply_batch`` in batches of 64 (batch-large's shape),
+  from open to close: µs per event, snapshots and compactions written,
+  files deleted (an ``os.unlink``, or an ``os.replace`` over an
+  existing file), fsyncs, the store's bytes at close, and the
+  ``read()`` plus :func:`fast_recover` a rehydration would pay, with
+  its replay tail.
 
 ``BENCH_E18_SCALE=smoke`` shrinks the workloads for CI and drops the
 shape assertions (shared runners cannot price anything).  The full run
@@ -37,6 +48,7 @@ committed baseline).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import shutil
@@ -55,9 +67,9 @@ from repro.runtime.journal import (
     snapshot_record,
 )
 from repro.service import ShardedRunRegistry
-from repro.storage import compact_records, open_backend
+from repro.storage import RecordJournal, compact_records, open_backend
 from repro.workflow import Event, FreshValue, Var, execute
-from repro.workloads import churn_program
+from repro.workloads import churn_program, get_family
 
 SMOKE = os.environ.get("BENCH_E18_SCALE", "").strip().lower() == "smoke"
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_E18.json"
@@ -223,17 +235,19 @@ def test_e18c_eviction_rehydration(benchmark):
             stats = registry.stats()
             for run_id in ("a", "b"):
                 await registry.close(run_id)
+            # The events a rehydration of "a" replays after its checkpoint.
+            tail = fast_recover(program, backend.read_records("a")[0]).engine_replayed
             backend.close()
-            return elapsed, stats
+            return elapsed, stats, tail
 
-        resident_s, resident_stats = asyncio.run(alternate(max_resident=None))
-        evicting_s, evicting_stats = asyncio.run(alternate(max_resident=1))
+        resident_s, resident_stats, _ = asyncio.run(alternate(max_resident=None))
+        evicting_s, evicting_stats, tail = asyncio.run(alternate(max_resident=1))
         assert resident_stats["rehydrations"] == 0
         assert evicting_stats["rehydrations"] >= switches - 1
         per_switch_us = resident_s / switches * 1e6
         per_rehydration_ms = evicting_s / switches * 1e3
         rows.append(
-            ["both resident", switches, f"{per_switch_us:.1f} us", "0"]
+            ["both resident", switches, f"{per_switch_us:.1f} us", "0", "-"]
         )
         rows.append(
             [
@@ -241,6 +255,7 @@ def test_e18c_eviction_rehydration(benchmark):
                 switches,
                 f"{per_rehydration_ms * 1e3:.1f} us",
                 str(evicting_stats["rehydrations"]),
+                str(tail),
             ]
         )
         json_rows.append(
@@ -258,11 +273,12 @@ def test_e18c_eviction_rehydration(benchmark):
                 "per_switch_us": round(per_rehydration_ms * 1e3, 2),
                 "rehydrations": evicting_stats["rehydrations"],
                 "events_per_run": events_per_run,
+                "tail_replayed": tail,
             }
         )
     print_table(
         "E18c: run switching — resident vs evict/rehydrate per switch",
-        ["mode", "switches", "per switch", "rehydrations"],
+        ["mode", "switches", "per switch", "rehydrations", "tail"],
         rows,
     )
     _baseline["eviction"] = json_rows
@@ -270,9 +286,9 @@ def test_e18c_eviction_rehydration(benchmark):
 
 
 def _pending_history(program, length, snapshot_every=10, pending=4):
-    """A store's records just before an automatic compaction: *length*
-    events, the snapshot the previous compaction kept, and the
-    *pending* snapshots written since."""
+    """A store's records with snapshots to reclaim: *length* events,
+    the snapshot a previous compaction kept, and the *pending*
+    snapshots written since."""
     run = execute(program, _make_events(program, length))
     first = length - pending * snapshot_every
     records = [begin_record(run.initial)]
@@ -337,6 +353,130 @@ def test_e18d_compaction_cost(benchmark):
         rows,
     )
     _baseline["compaction"] = json_rows
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+@contextlib.contextmanager
+def _counting_writes():
+    """Count snapshots written, files deleted and fsyncs while active.
+
+    A file is deleted by ``os.unlink`` or by an ``os.replace`` over an
+    existing file (the replaced one is freed).  Pathlib's ``unlink``
+    goes through ``os.unlink``, so the segment store's deletions all
+    show here.
+    """
+    counts = {"snapshots": 0, "deletions": 0, "fsyncs": 0}
+    replace, unlink, fsync = os.replace, os.unlink, os.fsync
+    snapshot = RecordJournal.snapshot
+
+    def replacing(source, target, *args, **kwargs):
+        counts["deletions"] += os.path.exists(target)
+        return replace(source, target, *args, **kwargs)
+
+    def unlinking(path, *args, **kwargs):
+        counts["deletions"] += 1
+        return unlink(path, *args, **kwargs)
+
+    def fsyncing(fd):
+        counts["fsyncs"] += 1
+        return fsync(fd)
+
+    def snapshotting(self, *args, **kwargs):
+        counts["snapshots"] += 1
+        return snapshot(self, *args, **kwargs)
+
+    os.replace, os.unlink, os.fsync = replacing, unlinking, fsyncing
+    RecordJournal.snapshot = snapshotting
+    try:
+        yield counts
+    finally:
+        os.replace, os.unlink, os.fsync = replace, unlink, fsync
+        RecordJournal.snapshot = snapshot
+
+
+def test_e18e_served_write_path(benchmark):
+    steps = 120 if SMOKE else 600
+    batch = 64
+    rows = []
+    json_rows = []
+    with tempfile.TemporaryDirectory(prefix="bench-e18e-") as tmp:
+        for family in ("cicd", "procurement"):
+            spec = get_family(family)
+            program = spec.program()
+            events = list(spec.run(seed=1000, steps=steps, program=program).events)
+            backend = open_backend(
+                f"segment:{_fresh_dir(tmp, family)}", durability="flush"
+            )
+
+            async def serve():
+                registry = ShardedRunRegistry(program, storage=backend)
+                hosted, _ = await registry.open("run")
+                start = time.perf_counter()
+                for offset in range(0, len(events), batch):
+                    hosted.apply_batch(events[offset : offset + batch])
+                elapsed = time.perf_counter() - start
+                instance = hosted.instance
+                await registry.close("run")
+                return elapsed, instance
+
+            with _counting_writes() as counts:
+                elapsed, instance = asyncio.run(serve())
+            store = backend.store("run")
+            store_bytes = store.size_bytes()
+            start = time.perf_counter()
+            resumed = fast_recover(program, store.read()[0])
+            recover_ms = (time.perf_counter() - start) * 1e3
+            store.close()
+            assert resumed.instance == instance
+            compactions = backend.compactions
+            backend.close()
+            per_event_us = elapsed / len(events) * 1e6
+            rows.append(
+                [
+                    family,
+                    len(events),
+                    f"{per_event_us:.1f}",
+                    counts["snapshots"],
+                    compactions,
+                    counts["deletions"],
+                    counts["fsyncs"],
+                    f"{store_bytes / 1024:.1f}",
+                    f"{recover_ms:.1f}",
+                    resumed.engine_replayed,
+                ]
+            )
+            json_rows.append(
+                {
+                    "family": family,
+                    "events": len(events),
+                    "us_per_event": round(per_event_us, 2),
+                    "snapshots": counts["snapshots"],
+                    "compactions": compactions,
+                    "file_deletions": counts["deletions"],
+                    "fsyncs": counts["fsyncs"],
+                    "store_bytes": store_bytes,
+                    "recover_ms": round(recover_ms, 3),
+                    "tail_replayed": resumed.engine_replayed,
+                }
+            )
+    print_table(
+        "E18e: the served write path (segment, flush, apply_batch of 64, "
+        "open to close)",
+        [
+            "family",
+            "events",
+            "us/event",
+            "snapshots",
+            "compactions",
+            "deleted",
+            "fsyncs",
+            "KiB",
+            "recover ms",
+            "tail",
+        ],
+        rows,
+    )
+    _baseline["write_path"] = json_rows
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

@@ -443,7 +443,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         storage=f"file:{args.journal_dir}" if args.journal_dir else args.storage,
         durability=args.durability,
         max_resident=args.max_resident,
-        compact_every=args.compact_every,
         disk_fault_plan=_disk_fault_plan(args),
         replicate_to=args.replicate_to,
         batch_size=args.batch_size,
@@ -628,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--save", help="write a replayable JSON run log here")
     p_run.add_argument("--journal", help="write an append-only run journal here")
     p_run.add_argument("--snapshot-every", type=int, default=10,
-                       help="journal snapshot period (events)")
+                       help="fewest events between journal snapshots "
+                            "(more once the instance holds more tuples)")
     p_run.set_defaults(handler=_cmd_run)
 
     p_recover = sub.add_parser(
@@ -729,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "wakeup (amortizes per-event overhead; "
                               "per-event acks and journals are unchanged)")
     p_serve.add_argument("--snapshot-every", type=int, default=10,
-                         help="journal snapshot period (events)")
+                         help="fewest events between journal snapshots "
+                              "(more once the instance holds more tuples)")
     p_serve.add_argument("--fault-seed", type=int, default=0,
                          help="fault-injection seed")
     p_serve.add_argument("--fault-transient", type=float, default=0.0,
@@ -747,9 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-resident", type=int, default=None,
                          help="LRU-evict idle hosted runs beyond this many "
                               "(rehydrated transparently from storage)")
-    p_serve.add_argument("--compact-every", type=int, default=4,
-                         help="compact a run's records every N snapshots "
-                              "(0 disables)")
     p_serve.add_argument("--fault-disk-short", type=float, default=0.0,
                          help="per-append short-write (torn record) rate")
     p_serve.add_argument("--fault-disk-corrupt", type=float, default=0.0,
@@ -782,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="durability policy of each shard's segment "
                                 "store: flush, interval[:N], fsync")
     p_cluster.add_argument("--snapshot-every", type=int, default=10,
-                           help="journal snapshot period (events)")
+                           help="fewest events between journal snapshots "
+                                "(more once the instance holds more tuples)")
     p_cluster.add_argument("--no-replicate", action="store_true",
                            help="disable journal replication between shards")
     p_cluster.add_argument("--failover", choices=("restart", "promote"),

@@ -26,10 +26,10 @@ Three pieces live here:
   read a dead shard's store, ask the follower how much of each run it
   holds, ship the missing suffix.
 
-Replicated stores are append-only: compaction would rewrite history
-underneath the shipper's position cursor, so the cluster defers it to
-the offline ``repro compact`` command (the supervisor spawns shard
-workers with ``--compact-every 0``).
+Replicated stores are append-only, as every served store is: a
+served run's journal is never compacted (its snapshot cadence bounds
+its size), so nothing rewrites history underneath the shipper's
+position cursor; compaction is the offline ``repro compact`` command.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ The supervisor owns N shard *worker processes*, each an ordinary
 own port and its own storage directory — the cluster reuses the
 single-process server byte for byte rather than forking a second
 server implementation.  Replication pairs each shard with the next one
-on the ring (``shard-i`` ships to ``shard-(i+1) mod N``), and workers
-run with compaction disabled so a follower's records stay a strict
+on the ring (``shard-i`` ships to ``shard-(i+1) mod N``); a served
+store is never compacted, so a follower's records stay a strict
 count-prefix of its primary's (see ``docs/CLUSTER.md``).
 
 When a worker dies the health loop runs one of two failover modes:
@@ -195,10 +195,6 @@ class ShardSupervisor:
             str(self.snapshot_every),
             "--queue-capacity",
             str(self.queue_capacity),
-            # Replicated stores must stay append-only (the follower holds
-            # a count-prefix); compaction is the offline `repro compact`.
-            "--compact-every",
-            "0",
             "--max-line-bytes",
             str(self.max_line_bytes),
         ]

@@ -112,10 +112,10 @@ def run_provenance(run: Run) -> ProvenanceLog:
     runs rebuilding their log after a recovery.  Only ``run.program``,
     ``run.initial`` and ``run.events`` are read, so a hosted run passes
     itself.  Each transition is pushed through a
-    :class:`~repro.dataflow.graph.DeltaGraph`, the fused observation
-    pass the live path records from, so each record's ``visible_to``
-    holds the peers whose view of the transition changed and the records
-    equal live ones (span ids aside).  O(|delta|) recording per event.
+    :class:`~repro.dataflow.graph.DeltaGraph` to the log's
+    :meth:`~repro.obs.provenance.ProvenanceLog.record_push`, as on the
+    live path, so the records equal live ones (span ids aside).
+    O(|delta|) recording per event.
     """
     from ..dataflow.graph import DeltaGraph
     from ..workflow.engine import apply_event_with_delta
@@ -124,14 +124,12 @@ def run_provenance(run: Run) -> ProvenanceLog:
     instance = run.initial
     graph = DeltaGraph(schema, instance)
     log = ProvenanceLog()
+    graph.subscribe(log.record_push)
     for seq, event in enumerate(run.events):
         instance, delta = apply_event_with_delta(
             schema, instance, event, forbidden_fresh=None, check_body=False
         )
-        effect = graph.push(delta, instance)
-        log.record(
-            seq, event.rule.name, event.peer, effect, {event.peer, *effect.changed_peers}
-        )
+        graph.push(delta, instance, seq=seq, event=event)
     return log
 
 

@@ -91,8 +91,7 @@ class ProvenanceLog:
     O(run length).
     """
 
-    def __init__(self, run_id: str = "") -> None:
-        self.run_id = run_id
+    def __init__(self) -> None:
         self._records: List[ProvenanceRecord] = []
         #: (relation, repr(key)) -> seqs that touched it, in order.
         self._by_key: Dict[Tuple[str, str], List[int]] = {}
@@ -143,6 +142,29 @@ class ProvenanceLog:
         for observer in record.visible_to:
             self._by_peer.setdefault(observer, []).append(seq)
         return record
+
+    def record_push(self, effect: "DeltaEffect") -> None:
+        """Record one pushed event: the log as a dataflow subscriber.
+
+        Reads the application context (``seq``, ``event``, optionally
+        ``span_id``) off the effect; a push without an event, or onto a
+        log still missing the run's earlier events, records nothing.
+        The visible-to peers are the acting peer and those whose view
+        the graph's fused observation pass found changed, so recording
+        is exact whether or not any view has been materialized.
+        """
+        context = effect.context
+        event = context.get("event")
+        if event is None or context["seq"] != len(self._records):
+            return
+        self.record(
+            context["seq"],
+            event.rule.name,
+            event.peer,
+            effect,
+            {event.peer, *effect.changed_peers},
+            span_id=context.get("span_id"),
+        )
 
     # ------------------------------------------------------------------
     # Queries

@@ -38,6 +38,9 @@ class ResumedRun:
     is O(events since the last checkpoint) regardless of run length.
     ``engine_replayed`` counts the events actually re-applied (and thus
     re-validated) — the quantity the regression tests pin.
+    ``checkpoint_tuples`` is the size of the instance the replay started
+    from (the latest snapshot's, or the initial one), from which a
+    reopened journal continues its snapshot cadence.
     """
 
     initial: Instance
@@ -45,6 +48,7 @@ class ResumedRun:
     events: List[Event]
     engine_replayed: int
     snapshot_position: int
+    checkpoint_tuples: int
     status: Optional[str]
     quarantined: List[Dict[str, Any]]
     warnings: List[str]
@@ -73,6 +77,7 @@ def fast_recover(program: WorkflowProgram, source: JournalSource) -> ResumedRun:
         snapshot_position, record = scan.snapshots[-1]
         instance = instance_from_dict(program, record.get("instance", {}))
     events = scan.events
+    checkpoint_tuples = instance.size()
     for offset, event in enumerate(events[snapshot_position:]):
         try:
             instance = apply_event(program.schema, instance, event, None)
@@ -87,6 +92,7 @@ def fast_recover(program: WorkflowProgram, source: JournalSource) -> ResumedRun:
         events=events,
         engine_replayed=len(events) - snapshot_position,
         snapshot_position=snapshot_position,
+        checkpoint_tuples=checkpoint_tuples,
         status=scan.status,
         quarantined=scan.quarantined,
         warnings=scan.warnings,

@@ -178,16 +178,14 @@ def journal_run(
     """Journal an already-executed run (e.g. for archival or transport).
 
     *sink* is a :class:`~repro.storage.RunStore`, or a path that gets a
-    flat JSON-lines file store.  Nothing is compacted: every snapshot
-    stays for :func:`recover_run` to verify.
+    flat JSON-lines file store.  Every snapshot stays for
+    :func:`recover_run` to verify.
     """
     from ..storage.backend import RecordJournal, file_store
 
     owned = isinstance(sink, (str, Path))
     journal = RecordJournal(
-        file_store(sink) if owned else sink,
-        snapshot_every=snapshot_every,
-        compact_every=0,
+        file_store(sink) if owned else sink, snapshot_every=snapshot_every
     )
     journal.begin(run.initial)
     for index, event in enumerate(run.events):

@@ -23,11 +23,11 @@ disk-fault tolerance (see ``docs/STORAGE.md``).
 Because every hosted run has a record history, the registry can also
 bound its resident set: with ``max_resident=N``, the least-recently
 used runs beyond N are *evicted* — their RAM-heavy live state (the
-instance, the materialized views, the explainers) dropped after a final
-snapshot — and transparently *rehydrated* from their records on next
-access.  Evicted runs stay addressable: ``get``/``close``/``submit``
-on them work unchanged, just with a one-time O(events since last
-snapshot) rehydration cost.
+instance, the materialized views, the explainers) dropped after a
+durability barrier — and transparently *rehydrated* from their records
+on next access.  Evicted runs stay addressable: ``get``/``close``/
+``submit`` on them work unchanged, just with a one-time rehydration
+that replays the events since the last checkpoint.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ class HostedRun:
         #: event, fanned out to every subscriber; its instance is always
         #: this run's instance.
         self.dataflow = DeltaGraph(program.schema, self.instance)
-        self.dataflow.subscribe(self._record_provenance, name="provenance")
         self._explainers: Dict[str, IncrementalExplainer] = {}
         self._event_index: Optional[ApplicableEventIndex] = None
         self.submitted = len(self.events)
@@ -150,15 +149,18 @@ class HostedRun:
         #: Warnings surfaced while reading this run's records back
         #: (torn trailing records truncated away, etc.).
         self.recovery_warnings: List[str] = []
-        #: Per-event provenance, recorded at application time.  A run
-        #: constructed over an existing event history (recovery,
-        #: rehydration, a promoted replica) starts with a log missing
-        #: that prefix and records nothing until :meth:`provenance_log`
-        #: rebuilds it by replay on first read, so provenance answers
-        #: are identical whether the run lived in one process or was
-        #: recovered — events determine runs, and they determine
-        #: provenance too.
-        self.provenance = ProvenanceLog(run_id)
+        #: Per-event provenance, recorded at application time by the
+        #: log's subscription to the graph (the log, not the run, is the
+        #: subscriber: the run is freed as soon as nothing else holds
+        #: it).  A run constructed over an existing event history
+        #: (recovery, rehydration, a promoted replica) starts with a log
+        #: missing that prefix and records nothing until
+        #: :meth:`provenance_log` rebuilds it by replay on first read, so
+        #: provenance answers are identical whether the run lived in one
+        #: process or was recovered — events determine runs, and they
+        #: determine provenance too.
+        self.provenance = ProvenanceLog()
+        self.dataflow.subscribe(self.provenance.record_push, name="provenance")
 
     # ------------------------------------------------------------------
     # Application
@@ -167,30 +169,6 @@ class HostedRun:
     @property
     def applied(self) -> int:
         return len(self.events)
-
-    def _record_provenance(self, effect: DeltaEffect) -> None:
-        """Provenance as a dataflow subscriber: one record per pushed event.
-
-        Reads the application context (``seq``, ``event``, ``span_id``)
-        off the effect; pushes without an event context (none today)
-        and pushes onto a log still missing the run's earlier events
-        record nothing.  The changed peers come from the graph's fused
-        observation pass, so recording is exact whether or not any view
-        has been materialized.
-        """
-        event = effect.context.get("event")
-        if event is None or effect.context["seq"] != len(self.provenance):
-            return
-        visible_to = set(effect.changed_peers)
-        visible_to.add(event.peer)
-        self.provenance.record(
-            effect.context["seq"],
-            event.rule.name,
-            event.peer,
-            effect,
-            visible_to,
-            span_id=effect.context.get("span_id"),
-        )
 
     def apply(self, event: Event) -> PyTuple[int, DeltaEffect]:
         """Apply one event; journal it; push its delta through the graph.
@@ -310,7 +288,7 @@ class HostedRun:
         """
         if len(self.provenance) != len(self.events):
             self.provenance = run_provenance(self)
-            self.provenance.run_id = self.run_id
+            self.dataflow.subscribe(self.provenance.record_push, name="provenance")
         return self.provenance
 
     def record_quarantine(self, event: Event, error: str, attempts: int) -> None:
@@ -419,7 +397,6 @@ class ShardedRunRegistry:
         snapshot_every: Optional[int] = 10,
         storage: Union[str, StorageBackend, None] = None,
         max_resident: Optional[int] = None,
-        compact_every: int = 4,
     ) -> None:
         if max_resident is not None and max_resident < 1:
             raise ServiceError("max_resident must be at least 1")
@@ -427,7 +404,6 @@ class ShardedRunRegistry:
         self.storage = MemoryBackend() if storage is None else open_backend(storage)
         self.snapshot_every = snapshot_every
         self.max_resident = max_resident
-        self.compact_every = compact_every
         self._runs: Dict[str, HostedRun] = {}
         self._evicted: Dict[str, _EvictedRun] = {}
         self._lru: "OrderedDict[str, None]" = OrderedDict()
@@ -489,15 +465,11 @@ class ShardedRunRegistry:
             except Exception:
                 store.close()
                 raise
-            journal = RecordJournal(
-                store,
-                snapshot_every=self.snapshot_every,
-                compact_every=self.compact_every,
-            )
-            has_snapshot = any(r.get("type") == "snapshot" for r in records)
+            journal = RecordJournal(store, snapshot_every=self.snapshot_every)
             journal.resume(
                 len(resumed.events),
-                resumed.snapshot_position if has_snapshot else None,
+                resumed.snapshot_position,
+                resumed.checkpoint_tuples,
             )
             hosted = HostedRun(
                 run_id,
@@ -513,11 +485,7 @@ class ShardedRunRegistry:
             hosted.recovery_warnings = list(warnings)
             return hosted
         store = backend.store(run_id)
-        journal = RecordJournal(
-            store,
-            snapshot_every=self.snapshot_every,
-            compact_every=self.compact_every,
-        )
+        journal = RecordJournal(store, snapshot_every=self.snapshot_every)
         # Disk faults are self-healing (the torn record is repaired on
         # the next append), so a failed begin write is retried before
         # the open is refused.  A refused open leaves nothing behind:
@@ -701,8 +669,10 @@ class ShardedRunRegistry:
         """Drop one run's live state, keeping its records rehydratable.
 
         Returns False — and leaves the run resident — when the records
-        could not be checkpointed and synced despite retries: evicting
-        then would hand rehydration a store missing acknowledged state.
+        could not be synced despite retries: evicting then would hand
+        rehydration a store missing acknowledged state.  No parting
+        snapshot is written: the cadence already wrote every snapshot
+        that is due, and rehydration replays the events since.
         """
         hosted = self._runs.pop(run_id, None)
         if hosted is None:
@@ -711,16 +681,11 @@ class ShardedRunRegistry:
         persisted = False
         for _ in range(4):
             try:
-                if journal.last_snapshot_at != journal.events_recorded:
-                    # A parting checkpoint so rehydration replays O(1)
-                    # events, not O(events since the last cadence
-                    # snapshot).
-                    journal.snapshot(len(hosted.events) - 1, hosted.instance)
                 journal.store.sync()
                 persisted = True
                 break
             except DiskFault:
-                continue  # the store self-heals; a new fault draw each try
+                continue  # a new fault draw each try
         if not persisted:
             self._runs[run_id] = hosted
             return False

@@ -79,7 +79,6 @@ class WorkflowService:
         durability: "str | DurabilityPolicy | None" = None,
         max_resident: Optional[int] = None,
         disk_fault_plan: Optional[DiskFaultPlan] = None,
-        compact_every: int = 4,
         replicate_to: Optional[str] = None,
         batch_size: int = 1,
     ) -> None:
@@ -115,7 +114,6 @@ class WorkflowService:
             snapshot_every=snapshot_every,
             storage=storage,
             max_resident=max_resident,
-            compact_every=compact_every,
         )
         self.broker = EventBroker(
             self.registry,

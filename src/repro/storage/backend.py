@@ -23,16 +23,17 @@ random workloads by ``tests/storage/test_backend_equivalence.py``.
 
 :class:`RecordJournal` is the one writer of journal records: hosted
 runs, the supervisor, :func:`~repro.runtime.journal.journal_run` and
-``repro run --journal`` all append through it.
+``repro run --journal`` all append through it.  It spaces snapshots by
+the size of the instance they save, so superseded snapshots never hold
+more tuples than the events after them: a store grows O(events + one
+instance) while it is written, and is only ever appended to.
 
-Compaction is a pure record transform (:func:`compact_records`): all
-events and quarantines survive — they are the run's replayable evidence
-and the substrate of explanations — while superseded snapshots (the
-bulky part: one full instance every ``snapshot_every`` events) are
-dropped, keeping only the latest.  Recovery then costs O(events since
-the last checkpoint) of engine work via
-:func:`repro.runtime.checkpoint.fast_recover`, and journal size stays
-O(events + one instance) instead of O(events × instance/snapshot_every).
+Compaction, the offline ``repro compact``, is a pure record transform
+(:func:`compact_records`): all events and quarantines survive — they
+are the run's replayable evidence and the substrate of explanations —
+while superseded snapshots are dropped, keeping only the latest.
+Recovery costs O(events since the last checkpoint) of engine work via
+:func:`repro.runtime.checkpoint.fast_recover` either way.
 """
 
 from __future__ import annotations
@@ -269,8 +270,10 @@ class RunStore:
     * :meth:`read` returns ``(records, warnings)``, dropping torn or
       corrupted *trailing* records with a warning and raising
       :class:`StorageCorruptionError` for interior damage;
-    * :meth:`sync` is an explicit durability barrier;
-    * :meth:`compact` rewrites the history as :func:`compact_records`;
+    * :meth:`sync` is an explicit durability barrier (a no-op when no
+      record was appended since the last one);
+    * :meth:`compact` rewrites the history as :func:`compact_records`
+      (the offline ``repro compact``; a served store only appends);
     * :meth:`close` releases the handle (the records stay).
     """
 
@@ -361,40 +364,39 @@ class RecordJournal:
     :mod:`repro.runtime.journal`, emitted into a :class:`RunStore`.
 
     ``begin`` / ``record_event`` / ``snapshot`` / ``quarantine`` /
-    ``end`` append one record each (``record_event`` also snapshots
-    every ``snapshot_every`` events when given the instance); encoding,
-    framing and durability are the store's business.  ``compact_every``
-    triggers an automatic compaction after that many snapshots (0
-    disables; compaction can still be forced via the store).
+    ``end`` append one record each; encoding, framing and durability
+    are the store's business.  Given the instance, ``record_event``
+    also snapshots once the events since the last checkpoint (the begin
+    record's initial instance, then each snapshot) number at least
+    ``max(snapshot_every, tuples in that checkpoint)``.  Each
+    superseded snapshot is then followed by at least as many event
+    records as it holds tuples, so a store stays within about twice its
+    compacted size and nothing is compacted while it is written
+    (``snapshot_every=None`` writes no snapshots).
     """
 
-    def __init__(
-        self,
-        store: RunStore,
-        snapshot_every: Optional[int] = 10,
-        compact_every: int = 4,
-    ) -> None:
+    def __init__(self, store: RunStore, snapshot_every: Optional[int] = 10) -> None:
         self.store = store
         self.snapshot_every = snapshot_every
-        self.compact_every = compact_every
         self.events_recorded = 0
-        #: ``events_recorded`` as of the last snapshot (None: no snapshot
-        #: yet).  Eviction consults this to skip redundant snapshots.
-        self.last_snapshot_at: Optional[int] = None
-        self._snapshots_since_compact = 0
+        #: ``events_recorded`` as of the last checkpoint, and the tuples
+        #: it holds: what the snapshot cadence counts from.
+        self.checkpoint_at = 0
+        self.checkpoint_tuples = 0
         self._closed = False
 
     def resume(
-        self, events_recorded: int, last_snapshot_at: Optional[int]
+        self, events_recorded: int, checkpoint_at: int, checkpoint_tuples: int
     ) -> None:
         """Adopt the position of an existing journal being reopened.
 
-        Keeps the snapshot cadence continuous across rehydration: a run
-        evicted and reloaded at event 25 with ``snapshot_every=10``
-        snapshots again at 30, not at 35.
+        Keeps the snapshot cadence continuous across rehydration and
+        recovery: the next snapshot is due where it was before the
+        journal was closed.
         """
         self.events_recorded = events_recorded
-        self.last_snapshot_at = last_snapshot_at
+        self.checkpoint_at = checkpoint_at
+        self.checkpoint_tuples = checkpoint_tuples
 
     def _emit(self, record: Dict[str, Any]) -> None:
         if self._closed:
@@ -403,6 +405,7 @@ class RecordJournal:
 
     def begin(self, initial: Instance, meta: Optional[Dict[str, Any]] = None) -> None:
         self._emit(begin_record(initial, meta))
+        self.checkpoint_tuples = initial.size()
 
     def record_event(
         self, index: int, event: Event, instance: Optional[Instance] = None
@@ -412,7 +415,8 @@ class RecordJournal:
         if (
             instance is not None
             and self.snapshot_every
-            and self.events_recorded % self.snapshot_every == 0
+            and self.events_recorded - self.checkpoint_at
+            >= max(self.snapshot_every, self.checkpoint_tuples)
         ):
             try:
                 self.snapshot(index, instance)
@@ -421,15 +425,13 @@ class RecordJournal:
                 # snapshot is a recovery-cost optimization, not part of
                 # the ack.  Raising here would make the caller retry an
                 # acknowledged append and duplicate the event record.
+                # The checkpoint stays put, so the next event retries.
                 pass
 
     def snapshot(self, index: int, instance: Instance) -> None:
         self._emit(snapshot_record(index, self.events_recorded, instance))
-        self.last_snapshot_at = self.events_recorded
-        self._snapshots_since_compact += 1
-        if self.compact_every and self._snapshots_since_compact >= self.compact_every:
-            self.store.compact()
-            self._snapshots_since_compact = 0
+        self.checkpoint_at = self.events_recorded
+        self.checkpoint_tuples = instance.size()
 
     def quarantine(self, index: int, event: Event, error: str, attempts: int) -> None:
         self._emit(quarantine_record(index, event, error, attempts))
@@ -602,6 +604,8 @@ class _FileStore(RunStore):
         return records, warnings + dropped
 
     def sync(self) -> None:
+        if not self._appends_since_sync:
+            return  # the last barrier already covers every record
         self._sink.flush()
         started = time.perf_counter()
         os.fsync(self._sink.fileno())

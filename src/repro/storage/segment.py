@@ -26,9 +26,16 @@ disappear under the live process — the unsynced window only matters
 across a power cut, exactly as the durability matrix in
 ``docs/STORAGE.md`` states.
 
-**Compaction.**  The store keeps a type index: the ``type`` of every
-record in its live segments, in order, extended by each acknowledged
-append.  ``compact()`` decides what to keep from those types alone
+**The MANIFEST.**  A new store writes its MANIFEST once, naming its
+first segment; only a segment roll or a compaction replaces it.  A
+served run's store is only appended to (its snapshot cadence bounds
+its size), so between its open and its close it frees no file unless
+it outgrows a segment.
+
+**Compaction** is the offline ``repro compact``.  The store keeps a
+type index: the ``type`` of every record in its live segments, in
+order, extended by each acknowledged append.  ``compact()`` decides
+what to keep from those types alone
 (:func:`~repro.storage.backend.kept_positions`, the rule behind
 :func:`~repro.storage.backend.compact_records`), then copies the kept
 lines verbatim into a fresh segment, checking each against its CRC, so
@@ -221,9 +228,6 @@ class SegmentStore(RunStore):
                     f"unsupported manifest version {manifest.get('version')!r}"
                 )
             self._segments = list(manifest.get("segments", []))
-        else:
-            self._segments = []
-            self._write_manifest()
 
     def _write_manifest(self) -> None:
         tmp = self._manifest_path.with_suffix(".tmp")
@@ -375,18 +379,20 @@ class SegmentStore(RunStore):
     def sync(self) -> None:
         """Fsync the active segment (a durability barrier).
 
-        An injected fsync failure models ``EIO`` from ``fsync(2)`` in a
-        process that keeps running: the written bytes are intact (the
-        page cache does not vanish on a failed sync), but the barrier
-        was *not* achieved — ``_synced_offset`` stays behind and
+        A no-op when nothing was appended since the last successful
+        barrier.  An injected fsync failure models ``EIO`` from
+        ``fsync(2)`` in a process that keeps running: the written bytes
+        are intact (the page cache does not vanish on a failed sync),
+        but the barrier was *not* achieved — the store stays unsynced,
+        ``_synced_offset`` stays behind and
         :class:`~repro.runtime.faults.DiskFault` is raised so callers
         that need the barrier (sealing, eviction, compaction) retry.
         Only an actual power cut would lose the unsynced tail; the
         durability matrix in ``docs/STORAGE.md`` spells out which
         policies accept that window.
         """
-        if self._sink is None or self._sink.closed:
-            return
+        if self._sink is None or self._sink.closed or not self._appends_since_sync:
+            return  # the last barrier already covers every record
         self._sink.flush()
         injector = self.backend.fault_injector
         if injector is not None and injector.on_fsync():

@@ -44,7 +44,6 @@ def run_pair_scenario(scenario, tmp_path, durability="flush"):
             program,
             storage=f"segment:{tmp_path / 'primary'}",
             durability=durability,
-            compact_every=0,
             replicate_to=f"{follower.host}:{follower.port}",
         )
         primary = ServiceServer(primary_service, port=0)

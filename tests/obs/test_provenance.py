@@ -19,7 +19,7 @@ def delta(changes=None):
 
 
 def sample_log():
-    log = ProvenanceLog("run-1")
+    log = ProvenanceLog()
     log.record(
         0, "open", "sue", delta({"Req": {"r1": (None, OPENED)}}), {"sue", "bob"}
     )

@@ -113,10 +113,10 @@ class TestFsyncContract:
             writer.record_event(index, event)
         writer.end()
         writer.close()
-        # begin + 4 events + end: one barrier per acknowledged record,
-        # plus the explicit barrier that `end` (the seal) always takes.
-        per_record, seal = 6, 1
-        assert len(synced) == per_record + seal
+        # begin + 4 events + end: one barrier per acknowledged record.
+        # The seal's own barrier finds nothing unsynced and skips.
+        per_record = 6
+        assert len(synced) == per_record
         assert len(backend.read_records("run")[0]) == per_record
 
     def test_default_is_flush_only(self, approval_run, tmp_path, monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -148,3 +150,46 @@ class TestJournalDurability:
                 await registry.crash_and_recover("r")
 
         asyncio.run(scenario())
+
+
+class TestRunsAreFreed:
+    """A run is freed as soon as the registry lets go of it: nothing in
+    the run refers back to it, so its instance, views, provenance log,
+    event index and explainers do not wait for the cyclic collector."""
+
+    def test_close_eviction_and_crash_free_the_run(self, tmp_path):
+        program = churn_program()
+        peer = sorted(program.schema.peers)[0]
+
+        async def hosted_with_state(registry, run_id, start):
+            hosted = await registry.get(run_id)
+            for index in range(start, start + 6):
+                hosted.apply(make_event(program, index))
+            hosted.applicable()
+            hosted.view_instance(peer)
+            hosted.explainer(peer)
+            hosted.provenance_log()
+            return weakref.ref(hosted)
+
+        async def scenario():
+            registry = ShardedRunRegistry(
+                program, storage=f"segment:{tmp_path}", max_resident=1
+            )
+            await registry.open("a")
+            run = await hosted_with_state(registry, "a", 0)
+            await registry.open("b")  # evicts "a"
+            assert run() is None, "eviction left the run alive"
+            run = await hosted_with_state(registry, "b", 100)
+            await registry.crash_and_recover("b")
+            assert run() is None, "crash_and_recover left the run alive"
+            run = await hosted_with_state(registry, "b", 200)
+            await registry.close("b")
+            assert run() is None, "close left the run alive"
+            await registry.close("a")
+
+        gc.collect()
+        gc.disable()
+        try:
+            asyncio.run(scenario())
+        finally:
+            gc.enable()

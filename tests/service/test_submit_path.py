@@ -190,19 +190,25 @@ class TestInlinePath:
                 storage=f"segment:{root}",
                 durability="interval:4",
                 snapshot_every=4,
-                compact_every=1,
                 disk_fault_plan=disk_faults,
                 fault_plan=fault_plan,
                 retry=RetryPolicy(max_attempts=2, initial_backoff=0.001),
             )
             result = await drive(service, events)
             backend = open_backend(f"segment:{root}")
+            store = backend.store("r")
             try:
-                records, _ = backend.store("r").read()
+                records, _ = store.read()
+                instance = fast_recover(program, records).instance
+                # Compaction keeps what recovery rebuilds.
+                store.compact()
+                compacted, _ = store.read()
+                assert fast_recover(program, compacted).instance == instance
             finally:
+                store.close()
                 backend.close()
             injected = service.disk_fault_injector.injected
-            return result, injected, fast_recover(program, records).instance
+            return result, injected, instance
 
         inline, inline_injected, inline_instance = asyncio.run(
             scenario(None, tmp_path / "inline")

@@ -148,6 +148,29 @@ class TestFsyncFaults:
         got, _ = store.read()
         assert got == [records[0]]
 
+    def test_sync_after_a_failed_fsync_still_fsyncs(self, tmp_path, monkeypatch):
+        """A sync with nothing appended since the last barrier is skipped;
+        a failed barrier leaves the store dirty, so the next one runs."""
+        program, run, records = run_records()
+        backend = SegmentBackend(tmp_path, fault_injector=one_shot("fsync"))
+        store = backend.store("r1")
+        synced = []
+        monkeypatch.setattr(
+            "repro.storage.segment.os.fsync", lambda fd: synced.append(fd)
+        )
+        store.append(records[0])
+        with pytest.raises(DiskFault):
+            store.sync()
+        assert synced == []
+        store.sync()
+        assert len(synced) == 1
+        store.sync()  # clean: the barrier already covers every record
+        assert len(synced) == 1
+        store.append(records[1])
+        store.sync()
+        assert len(synced) == 2
+        store.close()
+
 
 @pytest.mark.parametrize("fault", ["short_write", "corrupt", "enospc", "fsync"])
 def test_compaction_copies_only_acknowledged_lines(tmp_path, fault):
