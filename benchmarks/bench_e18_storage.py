@@ -9,11 +9,11 @@ Three questions, one per table:
   path grows linearly — the gap is the price of paranoia, paid only
   when auditing.
 
-* **E18b** — per-backend append/read throughput.  The three backends
-  (memory, file, segment) under the flush and fsync durability
-  policies: what one acknowledged event costs, and what reading the
-  history back costs.  The durable backends buy crash-survival with
-  the fsync round-trip; the table shows exactly what that costs here.
+* **E18b** — per-backend append/read throughput.  The two backends
+  (memory, segment) under the flush and fsync durability policies:
+  what one acknowledged event costs, and what reading the history back
+  costs.  The durable backend buys crash-survival with the fsync
+  round-trip; the table shows exactly what that costs here.
 
 * **E18c** — eviction and rehydration.  A registry capped at one
   resident run alternating between two runs pays a full rehydration
@@ -27,17 +27,19 @@ Three questions, one per table:
   grows, with ``snapshot_every`` 10 and four snapshots written since
   the kept one.  Compaction copies the kept lines verbatim
   (CRC-checked, never re-encoded), so its cost is the bytes it copies,
-  two fsyncs, the MANIFEST it replaces and the segment it deletes; the
-  table reports the time and the bytes.
+  its fsyncs and the files it frees (one: the log its copy replaces);
+  the table reports the time, the bytes, the fsyncs and the files
+  freed.
 
 * **E18e** — the served write path.  One 600-event cicd run and one
   procurement run on a segment store under flush durability, through
   ``HostedRun.apply_batch`` in batches of 64 (batch-large's shape),
   from open to close: µs per event, snapshots and compactions written,
   files deleted (an ``os.unlink``, or an ``os.replace`` over an
-  existing file), fsyncs, the store's bytes at close, and the
+  existing file), fsyncs, the store's bytes at close, the
   ``read()`` plus :func:`fast_recover` a rehydration would pay, with
-  its replay tail.
+  its replay tail, the files and directories the closed store leaves,
+  and the time ``delete`` takes to remove them.
 
 ``BENCH_E18_SCALE=smoke`` shrinks the workloads for CI and drops the
 shape assertions (shared runners cannot price anything).  The full run
@@ -160,8 +162,6 @@ def test_e18b_backend_throughput(benchmark):
     with tempfile.TemporaryDirectory(prefix="bench-e18-") as tmp:
         specs = [
             ("memory", "memory", "flush"),
-            ("file", f"file:{_fresh_dir(tmp, 'file-flush')}", "flush"),
-            ("file", f"file:{_fresh_dir(tmp, 'file-fsync')}", "fsync"),
             ("segment", f"segment:{_fresh_dir(tmp, 'seg-flush')}", "flush"),
             ("segment", f"segment:{_fresh_dir(tmp, 'seg-fsync')}", "fsync"),
         ]
@@ -317,9 +317,10 @@ def test_e18d_compaction_cost(benchmark):
                 store = backend.store("bench")
                 for record in records:
                     store.append(record)
-                start = time.perf_counter()
-                stats = store.compact()
-                samples.append(time.perf_counter() - start)
+                with _counting_writes() as counts:
+                    start = time.perf_counter()
+                    stats = store.compact()
+                    samples.append(time.perf_counter() - start)
                 got, warnings = store.read()
                 assert got == kept and warnings == []
                 store.close()
@@ -332,6 +333,8 @@ def test_e18d_compaction_cost(benchmark):
                     stats.records_before,
                     stats.records_after,
                     f"{stats.bytes_after / 1024:.1f}",
+                    counts["fsyncs"],
+                    counts["deletions"],
                     f"{compact_ms:.2f}",
                 ]
             )
@@ -342,6 +345,8 @@ def test_e18d_compaction_cost(benchmark):
                     "records_after": stats.records_after,
                     "bytes_before": stats.bytes_before,
                     "bytes_copied": stats.bytes_after,
+                    "fsyncs": counts["fsyncs"],
+                    "file_deletions": counts["deletions"],
                     "compact_ms": round(compact_ms, 3),
                     "repeats": repeats,
                 }
@@ -349,7 +354,7 @@ def test_e18d_compaction_cost(benchmark):
     print_table(
         "E18d: one segment-store compaction (flush, snapshot_every 10, "
         "4 snapshots pending)",
-        ["events", "records", "kept", "KiB copied", "ms"],
+        ["events", "records", "kept", "KiB copied", "fsyncs", "freed", "ms"],
         rows,
     )
     _baseline["compaction"] = json_rows
@@ -404,9 +409,8 @@ def test_e18e_served_write_path(benchmark):
             spec = get_family(family)
             program = spec.program()
             events = list(spec.run(seed=1000, steps=steps, program=program).events)
-            backend = open_backend(
-                f"segment:{_fresh_dir(tmp, family)}", durability="flush"
-            )
+            root = _fresh_dir(tmp, family)
+            backend = open_backend(f"segment:{root}", durability="flush")
 
             async def serve():
                 registry = ShardedRunRegistry(program, storage=backend)
@@ -429,6 +433,11 @@ def test_e18e_served_write_path(benchmark):
             store.close()
             assert resumed.instance == instance
             compactions = backend.compactions
+            entries = sum(1 for _ in root.rglob("*"))
+            start = time.perf_counter()
+            backend.delete("run")
+            delete_ms = (time.perf_counter() - start) * 1e3
+            assert not any(root.iterdir())
             backend.close()
             per_event_us = elapsed / len(events) * 1e6
             rows.append(
@@ -443,6 +452,8 @@ def test_e18e_served_write_path(benchmark):
                     f"{store_bytes / 1024:.1f}",
                     f"{recover_ms:.1f}",
                     resumed.engine_replayed,
+                    entries,
+                    f"{delete_ms:.1f}",
                 ]
             )
             json_rows.append(
@@ -457,6 +468,8 @@ def test_e18e_served_write_path(benchmark):
                     "store_bytes": store_bytes,
                     "recover_ms": round(recover_ms, 3),
                     "tail_replayed": resumed.engine_replayed,
+                    "store_entries": entries,
+                    "delete_ms": round(delete_ms, 3),
                 }
             )
     print_table(
@@ -473,6 +486,8 @@ def test_e18e_served_write_path(benchmark):
             "KiB",
             "recover ms",
             "tail",
+            "entries",
+            "delete ms",
         ],
         rows,
     )

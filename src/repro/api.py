@@ -126,7 +126,6 @@ from .runtime.supervisor import (
 # ----------------------------------------------------------------------
 from .storage import (
     DurabilityPolicy,
-    FileBackend,
     MemoryBackend,
     SegmentBackend,
     StorageBackend,
@@ -279,7 +278,6 @@ __all__ = [
     "use_budget",
     # storage
     "DurabilityPolicy",
-    "FileBackend",
     "MemoryBackend",
     "SegmentBackend",
     "StorageBackend",

@@ -184,29 +184,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _recover_source(args: argparse.Namespace):
-    """``(records_or_path, warnings)`` from --journal/--journal-dir/--storage."""
-    from .runtime.journal import journal_path
-
-    chosen = [
-        bool(args.journal),
-        bool(args.journal_dir),
-        bool(getattr(args, "storage", None)),
-    ]
-    if sum(chosen) != 1:
+    """``(records_or_path, warnings)`` from --journal or --storage."""
+    if bool(args.journal) == bool(args.storage):
         raise WorkflowError(
-            "recover needs exactly one of --journal FILE, "
-            "--journal-dir DIR or --storage SPEC"
+            "recover needs exactly one of --journal FILE or --storage SPEC"
         )
     if args.journal:
         if args.run_id:
-            raise WorkflowError("--run-id goes with --journal-dir or --storage")
+            raise WorkflowError("--run-id goes with --storage")
         return args.journal, []
     if not args.run_id:
-        raise WorkflowError("--journal-dir/--storage need --run-id ID")
-    if args.journal_dir:
-        # The same <dir>/<quoted run id>.journal convention `repro serve
-        # --journal-dir` uses, so the two commands always agree on layout.
-        return journal_path(args.journal_dir, args.run_id), []
+        raise WorkflowError("--storage needs --run-id ID")
     from .storage import open_backend
 
     backend = open_backend(args.storage)
@@ -270,9 +258,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_compact(args: argparse.Namespace) -> int:
     from .storage import open_backend
 
-    if bool(args.storage) == bool(args.journal_dir):
-        raise WorkflowError("compact needs --storage SPEC or --journal-dir DIR")
-    spec = args.storage or f"file:{args.journal_dir}"
+    spec = args.storage
+    if not spec:
+        raise WorkflowError("compact needs --storage SPEC")
     backend = open_backend(spec)
     try:
         run_ids = [args.run_id] if args.run_id else backend.run_ids()
@@ -433,14 +421,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceServer, WorkflowService
 
     program = _load_service_program(args)
-    if args.journal_dir and args.storage:
-        raise WorkflowError("pass --storage or --journal-dir, not both")
     service = WorkflowService(
         program,
         queue_capacity=args.queue_capacity,
         snapshot_every=args.snapshot_every,
         fault_plan=_fault_plan(args),
-        storage=f"file:{args.journal_dir}" if args.journal_dir else args.storage,
+        storage=args.storage,
         durability=args.durability,
         max_resident=args.max_resident,
         disk_fault_plan=_disk_fault_plan(args),
@@ -637,14 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_recover, peer_required=False)
     p_recover.add_argument("--journal",
                            help="the journal file to recover from")
-    p_recover.add_argument("--journal-dir",
-                           help="a service journal directory (with --run-id)")
     p_recover.add_argument("--run-id",
-                           help="the hosted run id to recover "
-                                "(with --journal-dir or --storage)")
+                           help="the hosted run id to recover (with --storage)")
     p_recover.add_argument("--storage", default=None,
                            help="a storage backend spec to recover from "
-                                "(file:DIR or segment:DIR)")
+                                "(segment:DIR)")
     p_recover.add_argument("--full", action="store_true",
                            help="replay every event from the beginning and "
                                 "verify each snapshot, instead of resuming "
@@ -657,11 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compact", help="compact stored run records (drop superseded snapshots)"
     )
     p_compact.add_argument("--storage", default=None,
-                           help="a storage backend spec "
-                                "(file:DIR or segment:DIR)")
-    p_compact.add_argument("--journal-dir", default=None,
-                           help="a service journal directory "
-                                "(shorthand for --storage file:DIR)")
+                           help="a storage backend spec (segment:DIR)")
     p_compact.add_argument("--run-id", default=None,
                            help="compact one run (default: every run)")
     p_compact.set_defaults(handler=_cmd_compact)
@@ -718,10 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="host workflow runs behind the JSON-lines TCP service"
     )
     service_common(p_serve)
-    p_serve.add_argument("--journal-dir", default=None,
-                         help="directory for per-run journals (shorthand "
-                              "for --storage file:DIR); layout matches "
-                              "'repro recover --journal-dir'")
     p_serve.add_argument("--queue-capacity", type=int, default=64,
                          help="per-run mailbox bound (backpressure threshold)")
     p_serve.add_argument("--batch-size", type=int, default=1,
@@ -740,8 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--fault-crash", type=float, default=0.0,
                          help="per-event crash rate (recovered from journals)")
     p_serve.add_argument("--storage", default=None,
-                         help="storage backend spec: memory (default), "
-                              "file:DIR or segment:DIR")
+                         help="storage backend spec: memory (default) "
+                              "or segment:DIR (one journal file per run, "
+                              "read by 'repro recover --storage')")
     p_serve.add_argument("--durability", default=None,
                          help="durability policy for disk backends: "
                               "flush (default), interval[:N], fsync")

@@ -1,6 +1,6 @@
 """Append-only run journals: durable, replayable execution records.
 
-A journal is a sequence of JSON-lines records describing one execution
+A journal is a sequence of JSON records describing one execution
 of a workflow program, in the spirit of ProvDB's versioned lifecycle
 store: a ``begin`` record with the initial instance, one ``event``
 record per applied event (the event encoding of
@@ -10,9 +10,10 @@ supervisor set aside, and an ``end`` record with the final status.
 
 This module defines the record format and reads it back; one writer,
 :class:`repro.storage.RecordJournal`, emits it into a
-:class:`~repro.storage.RunStore` — a flat JSON-lines file, memory, or a
-CRC-framed segment log.  A torn final line (a crash interrupted a
-write) is detected and dropped on read.  :func:`recover_run` replays
+:class:`~repro.storage.RunStore` — memory, or a file of CRC-framed
+lines, one per record (:mod:`repro.storage.segment`).  A torn or
+corrupt final line (a crash interrupted a write) is detected and
+dropped on read.  :func:`recover_run` replays
 the journaled events through the engine — validity is re-checked at
 every step — and verifies every snapshot against the replayed
 instance, turning the journal into a recovery mechanism and not merely
@@ -27,7 +28,6 @@ round-trip per record; see ``docs/STORAGE.md`` for the full matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -78,7 +78,7 @@ __all__ = [
 #: Bumped when the record format changes incompatibly.
 JOURNAL_VERSION = 1
 
-#: File suffix of on-disk run journals in a journal directory.
+#: File suffix of on-disk run journals in a store's root directory.
 JOURNAL_SUFFIX = ".journal"
 
 #: What the readers accept: a journal file, its lines, or parsed records.
@@ -89,24 +89,19 @@ JournalSource = Union[str, Path, Iterable[str], List[Dict[str, Any]]]
 # Journal directory layout
 # ----------------------------------------------------------------------
 #
-# Every component that maps run ids to journal files — ``repro serve
-# --journal-dir``, ``repro recover --journal-dir``, the file backend —
-# goes through these functions, so the layout is defined in
-# exactly one place: ``<dir>/<quoted run id>.journal``, with the run id
-# percent-encoded so arbitrary ids stay one flat file per run.
-
-
-def _quote_run_id(run_id: str) -> str:
-    from urllib.parse import quote
-
-    if not run_id:
-        raise JournalError("run id must be non-empty")
-    return quote(run_id, safe="")
+# The segment backend maps run ids to journal files through these
+# functions, so the layout is defined in exactly one place:
+# ``<dir>/<quoted run id>.journal``, with the run id percent-encoded so
+# arbitrary ids stay one flat file per run.
 
 
 def journal_path(journal_dir: Union[str, Path], run_id: str) -> Path:
     """The canonical journal file for *run_id* under *journal_dir*."""
-    return Path(journal_dir) / (_quote_run_id(run_id) + JOURNAL_SUFFIX)
+    from urllib.parse import quote
+
+    if not run_id:
+        raise JournalError("run id must be non-empty")
+    return Path(journal_dir) / (quote(run_id, safe="") + JOURNAL_SUFFIX)
 
 
 def run_id_from_path(path: Union[str, Path]) -> str:
@@ -178,8 +173,8 @@ def journal_run(
     """Journal an already-executed run (e.g. for archival or transport).
 
     *sink* is a :class:`~repro.storage.RunStore`, or a path that gets a
-    flat JSON-lines file store.  Every snapshot stays for
-    :func:`recover_run` to verify.
+    file store (:func:`~repro.storage.backend.file_store`).  Every
+    snapshot stays for :func:`recover_run` to verify.
     """
     from ..storage.backend import RecordJournal, file_store
 
@@ -203,11 +198,12 @@ def journal_run(
 def read_journal(source: Union[str, Path, Iterable[str]]) -> List[Dict[str, Any]]:
     """Parse a journal into its records.
 
-    *source* is a path or an iterable of lines.  A torn final line (a
-    crash interrupted the write — truncated JSON, or JSON that is not a
-    typed record) is dropped; a malformed line anywhere else raises
-    :class:`JournalError`.  Use :func:`read_journal_ex` to also see what
-    was dropped.
+    *source* is a path or an iterable of CRC-framed lines, the format
+    every :class:`~repro.storage.RunStore` on disk writes.  A torn or
+    corrupt final line (a crash interrupted the write) is dropped; damage
+    anywhere else raises
+    :class:`~repro.storage.StorageCorruptionError`.  Use
+    :func:`read_journal_ex` to also see what was dropped.
     """
     return read_journal_ex(source)[0]
 
@@ -217,38 +213,15 @@ def read_journal_ex(
 ) -> PyTuple[List[Dict[str, Any]], List[str]]:
     """:func:`read_journal`, plus warnings about dropped trailing garbage.
 
-    Returns ``(records, warnings)``: parsing stops at the last complete
-    record when the final line is torn (a crash mid-write), and each
-    dropped line is described by one warning string instead of raising.
+    Returns ``(records, warnings)``, with the store's own scan
+    (:func:`repro.storage.segment.read_log`); the file is never written.
     """
+    from ..storage.segment import read_log
+
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = "".join(source).splitlines()
-    records: List[Dict[str, Any]] = []
-    warnings: List[str] = []
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = position == len(lines) - 1
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if last:  # torn tail write from a crash: recoverable
-                warnings.append(
-                    f"dropped torn trailing line {position} (crash mid-write?): {exc}"
-                )
-                break
-            raise JournalError(f"malformed journal line {position}: {exc}") from exc
-        if not isinstance(record, dict) or "type" not in record:
-            if last:
-                warnings.append(
-                    f"dropped trailing line {position}: not a typed journal record"
-                )
-                break
-            raise JournalError(f"journal line {position} is not a typed record")
-        records.append(record)
-    return records, warnings
+        path = Path(source)
+        return read_log(path.read_text(encoding="utf-8", errors="replace"), path.name)
+    return read_log("".join(source), "journal")
 
 
 @dataclass

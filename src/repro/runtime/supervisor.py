@@ -136,7 +136,7 @@ class SupervisedRun:
 class Supervisor:
     """A supervised event-application loop over one program.
 
-    >>> # journal = RecordJournal(FileBackend("journals").store("run"))
+    >>> # journal = RecordJournal(SegmentBackend("journals").store("run"))
     >>> # supervisor = Supervisor(program, journal=journal)
     >>> # result = supervisor.execute(events)
     >>> # result.run, result.quarantined, result.truncated

@@ -59,7 +59,10 @@ class ServiceClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        # A reply can outgrow asyncio's 64 KiB default line limit (a
+        # ``metrics`` answer renders the whole process's registry); read
+        # the lines the router reads.
+        reader, writer = await asyncio.open_connection(host, port, limit=1 << 22)
         return cls(reader, writer)
 
     async def request(self, **message: Any) -> Dict[str, Any]:

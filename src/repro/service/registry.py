@@ -16,9 +16,9 @@ run id whose records already exist *recovers* it — via
 only the events since the last checkpoint regardless of run length.
 The default backend keeps records in memory (the pre-storage
 semantics: nothing touches disk, a process death loses unjournaled
-runs); ``storage="file:DIR"`` selects the flat-file journal layout; the
-segment backend adds CRC framing, torn-write recovery and injected
-disk-fault tolerance (see ``docs/STORAGE.md``).
+runs); ``storage="segment:DIR"`` keeps one CRC-framed journal file per
+run, with torn-write recovery and injected disk-fault tolerance (see
+``docs/STORAGE.md``).
 
 Because every hosted run has a record history, the registry can also
 bound its resident set: with ``max_resident=N``, the least-recently

@@ -463,7 +463,7 @@ class WorkflowService:
 
         Unclosed runs are sealed with status ``suspended``: their
         journals remain recoverable, and re-opening the same run id
-        against the same journal directory resumes them.
+        against the same storage resumes them.
         """
         await self.broker.quiesce()
         await self.broker.shutdown()

@@ -1,8 +1,9 @@
 """Pluggable run-record storage beneath the hosted-run service.
 
 See :mod:`repro.storage.backend` for the protocol, the one journal
-writer (:class:`RecordJournal`) and the memory/file backends, and
-:mod:`repro.storage.segment` for the CRC-framed segmented log.
+writer (:class:`RecordJournal`) and the memory backend, and
+:mod:`repro.storage.segment` for the durable backend: one CRC-framed
+log file per run.
 ``docs/STORAGE.md`` documents the record format, the compaction and
 eviction lifecycles, and the durability matrix.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 from .backend import (
     CompactionStats,
     DurabilityPolicy,
-    FileBackend,
     MemoryBackend,
     RecordJournal,
     RunStore,
@@ -27,7 +27,6 @@ from .segment import SegmentBackend
 __all__ = [
     "CompactionStats",
     "DurabilityPolicy",
-    "FileBackend",
     "MemoryBackend",
     "RecordJournal",
     "RunStore",

@@ -11,15 +11,14 @@ interfaces:
   all back (with torn-tail warnings), force a durability barrier,
   compact.
 
-Three implementations ship: :class:`MemoryBackend` (records in RAM —
+Two implementations ship: :class:`MemoryBackend` (records in RAM —
 the default, preserving the pre-storage semantics where a process death
-loses unjournaled runs), :class:`FileBackend` (the flat
-``<dir>/<run>.journal`` JSON-lines layout, interoperable with ``repro
-recover --journal-dir``) and
-:class:`~repro.storage.segment.SegmentBackend` (segmented log with
-per-record CRC framing, torn-write truncate-and-recover and
-manifest-atomic compaction).  All three are proven bit-identical over
-random workloads by ``tests/storage/test_backend_equivalence.py``.
+loses unjournaled runs) and
+:class:`~repro.storage.segment.SegmentBackend` (one CRC-framed log file
+per run, ``<root>/<quoted run id>.journal``, with torn-write
+truncate-and-recover and rename-atomic compaction).  Both are proven
+bit-identical over random workloads by
+``tests/storage/test_backend_equivalence.py``.
 
 :class:`RecordJournal` is the one writer of journal records: hosted
 runs, the supervisor, :func:`~repro.runtime.journal.journal_run` and
@@ -39,8 +38,6 @@ Recovery costs O(events since the last checkpoint) of engine work via
 from __future__ import annotations
 
 import json
-import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple, Union
@@ -48,14 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple, Union
 from ..obs.metrics import METRICS
 from ..runtime.faults import DiskFault
 from ..runtime.journal import (
-    JOURNAL_SUFFIX,
     begin_record,
     end_record,
     event_record,
-    journal_path,
     quarantine_record,
-    read_journal_ex,
-    run_id_from_path,
     snapshot_record,
 )
 from ..workflow.errors import WorkflowError
@@ -65,7 +58,6 @@ from ..workflow.instance import Instance
 __all__ = [
     "CompactionStats",
     "DurabilityPolicy",
-    "FileBackend",
     "MemoryBackend",
     "RecordJournal",
     "RunStore",
@@ -542,178 +534,17 @@ class MemoryBackend(StorageBackend):
         }
 
 
-# ----------------------------------------------------------------------
-# File backend (one flat JSON-lines .journal file per run)
-# ----------------------------------------------------------------------
-
-
-class _FileStore(RunStore):
-    def __init__(self, backend: "FileBackend", run_id: str, path: Path) -> None:
-        self.backend = backend
-        self.run_id = run_id
-        self.path = path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        #: Tail repairs performed when the store was opened; surfaced by
-        #: the next :meth:`read` so recovery paths can report them.
-        self._open_warnings: List[str] = self._recover_tail()
-        self._sink = open(path, "a", encoding="utf-8")
-        self._appends_since_sync = 0
-
-    def _recover_tail(self) -> List[str]:
-        """Cut a torn final line off the file; the warnings.
-
-        The final line is whole only if it is newline-terminated and a
-        typed record, as a segment line must be: an append writes the
-        newline last, before the record is acknowledged.  A torn line
-        left in place would have the next append glued onto its bytes:
-        one glued record is lost, two make the line malformed mid-file.
-        """
-        data = self.path.read_bytes() if self.path.exists() else b""
-        if not data:
-            return []
-        start = data.rfind(b"\n", 0, len(data) - 1) + 1
-        if data.endswith(b"\n"):
-            try:
-                record = json.loads(data[start:])
-            except ValueError:  # undecodable JSON or bytes
-                record = None
-            if isinstance(record, dict) and "type" in record:
-                return []
-        with open(self.path, "r+b") as handle:
-            handle.truncate(start)
-        TAIL_RECOVERIES.labels(backend=self.backend.name).inc()
-        return [
-            f"truncated {self.path.name} to {start} valid bytes: "
-            "torn trailing line"
-        ]
-
-    def append(self, record: Dict[str, Any]) -> None:
-        if self._sink.closed:
-            raise StorageError(f"store for run {self.run_id!r} is closed")
-        self._sink.write(json.dumps(record, sort_keys=True) + "\n")
-        self._sink.flush()
-        self._appends_since_sync += 1
-        barrier = record.get("type") in ("snapshot", "end")
-        if self.backend.durability.wants_fsync(self._appends_since_sync, barrier):
-            self.sync()
-
-    def read(self) -> PyTuple[List[Dict[str, Any]], List[str]]:
-        self._sink.flush()
-        warnings, self._open_warnings = self._open_warnings, []
-        records, dropped = read_journal_ex(self.path)
-        return records, warnings + dropped
-
-    def sync(self) -> None:
-        if not self._appends_since_sync:
-            return  # the last barrier already covers every record
-        self._sink.flush()
-        started = time.perf_counter()
-        os.fsync(self._sink.fileno())
-        FSYNC_SECONDS.observe(time.perf_counter() - started)
-        self._appends_since_sync = 0
-
-    def compact(self) -> CompactionStats:
-        """Rewrite the journal file compacted, via tmp + atomic rename.
-
-        The format stays plain JSON lines, readable by ``repro recover
-        --journal-dir`` before and after.
-        """
-        self._sink.flush()
-        bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        records, _ = self.read()
-        kept = compact_records(records)
-        tmp = self.path.with_suffix(self.path.suffix + ".compact")
-        with open(tmp, "w", encoding="utf-8") as sink:
-            for record in kept:
-                sink.write(json.dumps(record, sort_keys=True) + "\n")
-            sink.flush()
-            os.fsync(sink.fileno())
-        self._sink.close()
-        os.replace(tmp, self.path)
-        self._sink = open(self.path, "a", encoding="utf-8")
-        COMPACTIONS.labels(backend=self.backend.name).inc()
-        COMPACTION_RECLAIMED.labels(backend=self.backend.name).inc(
-            len(records) - len(kept)
-        )
-        self.backend.compactions += 1
-        return CompactionStats(
-            records_before=len(records),
-            records_after=len(kept),
-            bytes_before=bytes_before,
-            bytes_after=self.path.stat().st_size,
-        )
-
-    def close(self) -> None:
-        if not self._sink.closed:
-            self._sink.close()
-
-    def record_count(self) -> int:
-        self._sink.flush()
-        return len(read_journal_ex(self.path)[0])
-
-    def size_bytes(self) -> int:
-        self._sink.flush()
-        return self.path.stat().st_size if self.path.exists() else 0
-
-
-class FileBackend(StorageBackend):
-    """The journal-directory layout behind the storage protocol.
-
-    One flat ``<dir>/<quoted run id>.journal`` JSON-lines file per run
-    (:func:`~repro.runtime.journal.journal_path`) — what ``repro serve
-    --journal-dir`` writes and ``repro recover --journal-dir`` reads.
-    """
-
-    name = "file"
-    durable = True
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        durability: Union[str, DurabilityPolicy, None] = None,
-    ) -> None:
-        self.root = Path(root)
-        self.durability = DurabilityPolicy.parse(durability)
-        self.compactions = 0
-
-    def exists(self, run_id: str) -> bool:
-        return journal_path(self.root, run_id).exists()
-
-    def store(self, run_id: str) -> _FileStore:
-        return _FileStore(self, run_id, journal_path(self.root, run_id))
-
-    def run_ids(self) -> List[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            run_id_from_path(path)
-            for path in self.root.glob("*" + JOURNAL_SUFFIX)
-        )
-
-    def delete(self, run_id: str) -> None:
-        path = journal_path(self.root, run_id)
-        if path.exists():
-            path.unlink()
-
-    def stats(self) -> Dict[str, Any]:
-        run_ids = self.run_ids()
-        return {
-            **super().stats(),
-            "root": str(self.root),
-            "runs": len(run_ids),
-            "compactions": self.compactions,
-            "durability": self.durability.mode,
-        }
-
-
 def file_store(path: Union[str, Path]) -> RunStore:
-    """A file store over the journal at *path*, whatever its name.
+    """The durable store over the log at *path*, whatever its name.
 
-    The :class:`FileBackend` record format outside the ``<dir>/<run
-    id>.journal`` layout: what ``repro run --journal FILE`` writes.
+    The :class:`~repro.storage.segment.SegmentStore` format outside the
+    ``<root>/<quoted run id>.journal`` layout: what ``repro run
+    --journal FILE`` writes.
     """
+    from .segment import SegmentBackend, SegmentStore
+
     path = Path(path)
-    return _FileStore(FileBackend(path.parent), path.name, path)
+    return SegmentStore(SegmentBackend(path.parent), path.name, path)
 
 
 # ----------------------------------------------------------------------
@@ -726,11 +557,11 @@ def open_backend(
     durability: Union[str, DurabilityPolicy, None] = None,
     fault_injector: Optional[Any] = None,
 ) -> StorageBackend:
-    """``"memory"`` / ``"file:DIR"`` / ``"segment:DIR"`` → a backend.
+    """``"memory"`` / ``"segment:DIR"`` → a backend.
 
-    *durability* applies to the disk backends; *fault_injector* (a
-    :class:`~repro.runtime.faults.DiskFaultInjector`) is threaded into
-    the segment backend, the one that supports injected disk faults.
+    *durability* and *fault_injector* (a
+    :class:`~repro.runtime.faults.DiskFaultInjector`) apply to the
+    segment backend, the durable one.
     """
     if isinstance(spec, StorageBackend):
         return spec
@@ -743,13 +574,11 @@ def open_backend(
         raise StorageError(
             f"storage spec {spec!r} needs an argument, e.g. {kind}:<path>"
         )
-    if kind == "file":
-        return FileBackend(arg, durability=durability)
     if kind == "segment":
         from .segment import SegmentBackend
 
         return SegmentBackend(arg, durability=durability, fault_injector=fault_injector)
     raise StorageError(
         f"unknown storage backend {kind!r} "
-        "(expected memory, file:<dir> or segment:<dir>)"
+        "(expected memory or segment:<dir>)"
     )

@@ -203,8 +203,7 @@ def torn_store(root, program):
         store.append(event_record(index, event))
     store.close()
     backend.close()
-    [segment] = store.path.glob("seg-*.log")
-    with open(segment, "a", encoding="utf-8") as sink:
+    with open(store.path, "a", encoding="utf-8") as sink:
         sink.write('deadbeef {"type": "event", "ind')
     return run
 

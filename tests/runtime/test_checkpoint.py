@@ -90,7 +90,7 @@ class TestFastRecover:
         resumed = fast_recover(hiring_run.program, path)
         assert resumed.events_total == len(hiring_run)
         assert len(resumed.warnings) == 1
-        assert "torn trailing line" in resumed.warnings[0]
+        assert "torn final record" in resumed.warnings[0]
 
     def test_incomplete_journal_resumes_prefix(self, hiring_run):
         records = [r for r in journal_records(hiring_run, 2)  # drop the end

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,30 @@ from repro.runtime.journal import (
     read_journal_ex,
     recover_run,
 )
-from repro.storage import FileBackend, MemoryBackend, RecordJournal, StorageError
+from repro.storage import (
+    MemoryBackend,
+    RecordJournal,
+    SegmentBackend,
+    StorageCorruptionError,
+    StorageError,
+)
+from repro.storage.segment import _frame
 from repro.workflow import RunGenerator, instances_isomorphic
-from repro.workflow.errors import JournalError, RecoveryError
+from repro.workflow.errors import RecoveryError
 from repro.workloads import paper_examples
 
 TORN = '{"type": "event", "index": 99, "ev'  # a crash mid-write
+
+
+def framed(*records):
+    """Journal lines as a store writes them: CRC frame, JSON, newline."""
+    return [_frame(json.dumps(record, sort_keys=True)) for record in records]
+
+
+def damaged(line):
+    """*line* with one payload byte changed: its CRC no longer matches."""
+    middle = len(line) // 2
+    return line[:middle] + ("x" if line[middle] != "x" else "y") + line[middle + 1 :]
 
 
 def memory_records(run, snapshot_every=10):
@@ -49,20 +69,25 @@ class TestReadJournal:
         assert all(r.get("index") != 99 for r in records)
 
     def test_malformed_interior_line_raises(self):
-        lines = ['{"type": "begin"}\n', "not json\n", '{"type": "end"}\n']
-        with pytest.raises(JournalError, match="malformed journal line 1"):
-            read_journal(lines)
+        begin, middle, end = framed({"type": "begin"}, {"type": "x"}, {"type": "end"})
+        for interior in ("not json\n", damaged(middle), '{"type": "event"}\n'):
+            with pytest.raises(StorageCorruptionError, match="mid-log"):
+                read_journal([begin, interior, end])
 
     def test_untyped_interior_record_raises(self):
         # Only a *trailing* untyped line is tolerated (torn write);
         # anywhere else it is corruption.
-        with pytest.raises(JournalError, match="not a typed record"):
-            read_journal(['{"no_type": 1}\n', '{"type": "end"}\n'])
+        with pytest.raises(StorageCorruptionError, match="not a typed record"):
+            read_journal(framed({"no_type": 1}, {"type": "end"}))
 
     def test_file_sink(self, approval_run, tmp_path):
         path = tmp_path / "run.journal"
         journal_run(approval_run, path)
-        assert len(read_journal(path)) >= 6  # begin + 4 events + end
+        records = read_journal(path)
+        assert len(records) >= 6  # begin + 4 events + end
+        # The one durable format: the file is a segment store's log.
+        assert path.read_text().splitlines(keepends=True) == framed(*records)
+        assert SegmentBackend(tmp_path).read_records("run") == (records, [])
 
     def test_writer_rejects_use_after_close(self):
         writer = RecordJournal(MemoryBackend().store("run"))
@@ -80,17 +105,26 @@ class TestReadJournalEx:
         assert records[-1]["type"] == "end"
 
     def test_torn_tail_is_reported_not_raised(self, approval_run, tmp_path):
-        records, warnings = read_journal_ex(torn_file(approval_run, tmp_path))
+        path = torn_file(approval_run, tmp_path)
+        written = path.read_bytes()
+        records, warnings = read_journal_ex(path)
         assert all(r.get("index") != 99 for r in records)
         assert len(warnings) == 1
-        assert "torn trailing line" in warnings[0]
+        assert "torn final record" in warnings[0]
+        assert path.read_bytes() == written  # a reader never writes
 
     def test_untyped_tail_is_reported_not_raised(self):
-        lines = ['{"type": "begin"}\n', '{"no_type": 1}\n']
-        records, warnings = read_journal_ex(lines)
+        records, warnings = read_journal_ex(framed({"type": "begin"}, {"no_type": 1}))
         assert records == [{"type": "begin"}]
         assert len(warnings) == 1
-        assert "not a typed journal record" in warnings[0]
+        assert "not a typed record" in warnings[0]
+
+    def test_corrupt_tail_is_reported_not_raised(self):
+        begin, end = framed({"type": "begin"}, {"type": "end"})
+        records, warnings = read_journal_ex([begin, damaged(end)])
+        assert records == [{"type": "begin"}]
+        assert len(warnings) == 1
+        assert "CRC mismatch" in warnings[0]
 
 
 class TestFsyncContract:
@@ -100,13 +134,13 @@ class TestFsyncContract:
     def count_fsyncs(monkeypatch):
         synced = []
         monkeypatch.setattr(
-            "repro.storage.backend.os.fsync", lambda fd: synced.append(fd)
+            "repro.storage.segment.os.fsync", lambda fd: synced.append(fd)
         )
         return synced
 
     def test_fsync_called_once_per_record(self, approval_run, tmp_path, monkeypatch):
         synced = self.count_fsyncs(monkeypatch)
-        backend = FileBackend(tmp_path, durability="fsync")
+        backend = SegmentBackend(tmp_path, durability="fsync")
         writer = RecordJournal(backend.store("run"), snapshot_every=None)
         writer.begin(approval_run.initial)
         for index, event in enumerate(approval_run.events):
@@ -121,7 +155,7 @@ class TestFsyncContract:
 
     def test_default_is_flush_only(self, approval_run, tmp_path, monkeypatch):
         synced = self.count_fsyncs(monkeypatch)
-        writer = RecordJournal(FileBackend(tmp_path).store("run"))
+        writer = RecordJournal(SegmentBackend(tmp_path).store("run"))
         writer.begin(approval_run.initial)
         writer.close()
         assert synced == []
@@ -149,7 +183,7 @@ class TestRecoverRun:
 
     def test_missing_begin_raises(self):
         with pytest.raises(RecoveryError, match="no begin record"):
-            recover_run(paper_examples.approval_program(), ['{"type": "end"}\n'])
+            recover_run(paper_examples.approval_program(), framed({"type": "end"}))
 
     def test_version_mismatch_raises(self, approval):
         records = [{"type": "begin", "version": 999, "initial": {}}]
@@ -184,7 +218,7 @@ class TestRecoverRun:
         assert recovered.events_replayed == 4
         assert recovered.final_instance == approval_run.final_instance
         assert len(recovered.warnings) == 1
-        assert "torn trailing line" in recovered.warnings[0]
+        assert "torn final record" in recovered.warnings[0]
 
     def test_journal_without_end_is_incomplete(self, approval):
         from repro.workflow import Event, execute

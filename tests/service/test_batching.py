@@ -92,7 +92,7 @@ class TestBatchedDrainBitIdentity:
         async def main():
             sequential = await drive(
                 WorkflowService(
-                    program, storage=f"file:{tmp_path / 'seq'}", batch_size=1
+                    program, storage=f"segment:{tmp_path / 'seq'}", batch_size=1
                 ),
                 events,
                 "run-a",
@@ -100,7 +100,7 @@ class TestBatchedDrainBitIdentity:
             )
             batched = await drive(
                 WorkflowService(
-                    program, storage=f"file:{tmp_path / 'batch'}", batch_size=8
+                    program, storage=f"segment:{tmp_path / 'batch'}", batch_size=8
                 ),
                 events,
                 "run-a",

@@ -235,7 +235,7 @@ class TestResilience:
         program = churn_program()
 
         async def scenario():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             broker = EventBroker(
                 registry, fault_plan=FaultPlan(crash_at_event=2)
             )

@@ -10,7 +10,7 @@ from repro.runtime.journal import (
     journal_path,
     run_id_from_path,
 )
-from repro.storage import FileBackend
+from repro.storage import SegmentBackend
 
 
 class TestJournalPathConvention:
@@ -40,9 +40,11 @@ class TestJournalPathConvention:
             run_id_from_path(tmp_path / "notes.txt")
 
     def test_list_journals(self, tmp_path):
-        # The file backend lists a journal directory by this convention.
-        assert FileBackend(tmp_path / "missing").run_ids() == []
+        # The segment backend lists its root by this convention.
+        assert SegmentBackend(tmp_path / "missing").run_ids() == []
         for run_id in ("r1", "r2", "spaced id"):
             journal_path(tmp_path, run_id).write_text("")
         (tmp_path / "README").write_text("not a journal")
-        assert FileBackend(tmp_path).run_ids() == ["r1", "r2", "spaced id"]
+        # A compaction's orphan copy is not a run.
+        (tmp_path / "r3.journal.tmp").write_text("")
+        assert SegmentBackend(tmp_path).run_ids() == ["r1", "r2", "spaced id"]

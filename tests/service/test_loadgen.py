@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.obs.metrics import METRICS, MetricFamily
 from repro.runtime.faults import FaultPlan
-from repro.service import ServiceServer, WorkflowService, run_loadgen
+from repro.service import ServiceClient, ServiceServer, WorkflowService, run_loadgen
 from repro.workloads.generators import churn_program
 
 
@@ -56,7 +57,7 @@ class TestLoadgen:
         report = drive(
             program,
             dict(
-                storage=f"file:{tmp_path}",
+                storage=f"segment:{tmp_path}",
                 fault_plan=FaultPlan(
                     seed=13, crash_rate=0.08, transient_rate=0.08, poison_rate=0.02
                 ),
@@ -102,7 +103,7 @@ class TestLoadgen:
         report = drive(
             program,
             dict(
-                storage=f"file:{tmp_path}",
+                storage=f"segment:{tmp_path}",
                 batch_size=4,
                 fault_plan=FaultPlan(
                     seed=17, crash_rate=0.08, transient_rate=0.08, poison_rate=0.02
@@ -115,3 +116,33 @@ class TestLoadgen:
         assert report.ordering_violations == 0
         assert report.consistency_violations == 0
         assert report.clean
+
+
+def test_client_reads_a_metrics_answer_over_64_kib(monkeypatch):
+    """A ``metrics`` answer renders the whole process's registry, which
+    grows with its label series: the client must read a reply longer
+    than asyncio's default 64 KiB line limit."""
+    family = MetricFamily(
+        "repro_test_wide_reply_series", "Series that widen a metrics answer",
+        "counter", ("series",),
+    )
+    for index in range(3000):
+        family.labels(series=f"s{index}").inc()
+    monkeypatch.setitem(METRICS._families, family.name, family)
+
+    async def main():
+        server = ServiceServer(WorkflowService(churn_program()), port=0)
+        await server.start()
+        try:
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                return await client.request(op="metrics")
+            finally:
+                await client.close()
+        finally:
+            await server.stop()
+
+    response = asyncio.run(main())
+    assert response["ok"]
+    assert len(response["text"]) > 64 * 1024
+    assert 'repro_test_wide_reply_series{series="s2999"} 1' in response["text"]

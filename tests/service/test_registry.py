@@ -11,7 +11,7 @@ import pytest
 from repro.runtime.journal import journal_path, recover_run
 from repro.service.errors import DuplicateRunError, ServiceError, UnknownRunError
 from repro.service.registry import ShardedRunRegistry
-from repro.storage import FileBackend
+from repro.storage import SegmentBackend
 from repro.workflow import Event, FreshValue, RunGenerator, Var, execute
 from repro.workloads.generators import churn_program
 
@@ -56,7 +56,7 @@ class TestJournalDurability:
         run = RunGenerator(program, seed=5).random_run(12)
 
         async def first_life():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, _ = await registry.open("r")
             for event in run.events:
                 hosted.apply(event)
@@ -64,7 +64,7 @@ class TestJournalDurability:
             return hosted.instance
 
         async def second_life():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, recovered = await registry.open("r")
             assert recovered
             return hosted.instance, hosted.applied
@@ -79,13 +79,13 @@ class TestJournalDurability:
         run = RunGenerator(program, seed=9).random_run(10)
 
         async def scenario():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, _ = await registry.open("r")
             for event in run.events:
                 hosted.apply(event)
             await registry.close("r", status="suspended")
 
-            reborn = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            reborn = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, recovered = await reborn.open("r")
             assert recovered
             for peer in program.schema.peers:
@@ -97,18 +97,19 @@ class TestJournalDurability:
 
     def test_journal_files_follow_the_shared_layout(self, tmp_path):
         """The registry writes exactly where journal_path says it will —
-        the invariant `repro recover --journal-dir` relies on."""
+        the invariant `repro recover --storage` relies on, and each file
+        is a journal `repro recover --journal` reads."""
         program = churn_program()
 
         async def scenario():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             for run_id in ("plain", "with space", "nested/run:id"):
                 hosted, _ = await registry.open(run_id)
                 hosted.apply(make_event(program, hash(run_id) % 100))
                 await registry.close(run_id)
 
         asyncio.run(scenario())
-        found = FileBackend(tmp_path).run_ids()
+        found = SegmentBackend(tmp_path).run_ids()
         assert found == ["nested/run:id", "plain", "with space"]
         for run_id in found:
             path = journal_path(tmp_path, run_id)
@@ -121,7 +122,7 @@ class TestJournalDurability:
         program = churn_program()
 
         async def scenario():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, _ = await registry.open("r")
             events = [make_event(program, i) for i in range(6)]
             for event in events[:4]:

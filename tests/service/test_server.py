@@ -196,7 +196,7 @@ class TestServerEndToEnd:
         run = RunGenerator(program, seed=4).random_run(8)
 
         async def first_life():
-            service = WorkflowService(program, storage=f"file:{tmp_path}")
+            service = WorkflowService(program, storage=f"segment:{tmp_path}")
             server = ServiceServer(service, port=0)
             await server.start()
             client = await ServiceClient.connect(server.host, server.port)
@@ -209,7 +209,7 @@ class TestServerEndToEnd:
             await server.stop()  # seals the journal as "suspended"
 
         async def second_life():
-            service = WorkflowService(program, storage=f"file:{tmp_path}")
+            service = WorkflowService(program, storage=f"segment:{tmp_path}")
             server = ServiceServer(service, port=0)
             await server.start()
             client = await ServiceClient.connect(server.host, server.port)

@@ -164,7 +164,7 @@ class TestInlinePath:
 
         async def scenario(fault_plan, root):
             service = WorkflowService(
-                program, storage=f"file:{root}", fault_plan=fault_plan
+                program, storage=f"segment:{root}", fault_plan=fault_plan
             )
             return await drive(service, events)
 
@@ -236,7 +236,7 @@ class TestInlinePath:
         poison = kill_event(program, 0)
 
         async def scenario():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             broker = EventBroker(
                 registry,
                 retry=RetryPolicy(max_attempts=max_attempts, initial_backoff=0.001),
@@ -256,7 +256,7 @@ class TestInlinePath:
         assert outcome.attempts == max_attempts
         assert counters["retries"] == max_attempts - 1
         assert counters[QUARANTINED] == 1
-        backend = open_backend(f"file:{tmp_path}")
+        backend = open_backend(f"segment:{tmp_path}")
         records, _ = backend.store("r").read()
         backend.close()
         quarantines = [r for r in records if r.get("type") == "quarantine"]

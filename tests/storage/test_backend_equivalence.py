@@ -1,7 +1,7 @@
 """Property tests: every backend hosts bit-identical runs.
 
 The memory backend is the semantic reference (it reproduces the
-pre-storage service exactly); the disk backends and the eviction path
+pre-storage service exactly); the segment backend and the eviction path
 must be observationally indistinguishable from it — same sequence
 numbers, same per-peer views, same applicable events, same explanation
 structure, same stats.
@@ -14,7 +14,7 @@ import asyncio
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.service.registry import ShardedRunRegistry
-from repro.storage import FileBackend, MemoryBackend, SegmentBackend
+from repro.storage import MemoryBackend, SegmentBackend
 from repro.workflow import Event, FreshValue, RunGenerator, Var
 from repro.workloads.generators import churn_program
 
@@ -114,11 +114,7 @@ def test_all_backends_equivalent_to_memory(tmp_path_factory, count, seed, snapsh
     events = two_runs(count, seed)
     tmp = tmp_path_factory.mktemp("eq")
     reference = drive(events, MemoryBackend(), snapshot_every)
-    for factory in (
-        lambda: FileBackend(tmp / "file"),
-        lambda: SegmentBackend(tmp / "seg", segment_bytes=2048),
-    ):
-        assert drive(events, factory(), snapshot_every) == reference
+    assert drive(events, SegmentBackend(tmp / "seg"), snapshot_every) == reference
 
 
 @settings(
@@ -136,14 +132,9 @@ def test_eviction_is_transparent(tmp_path_factory, count, seed, snapshot_every):
     observable products must not change."""
     events = two_runs(count, seed)
     tmp = tmp_path_factory.mktemp("evict")
-    resident = drive(
-        events, SegmentBackend(tmp / "resident", segment_bytes=2048), snapshot_every
-    )
+    resident = drive(events, SegmentBackend(tmp / "resident"), snapshot_every)
     evicting = drive(
-        events,
-        SegmentBackend(tmp / "evicting", segment_bytes=2048),
-        snapshot_every,
-        max_resident=1,
+        events, SegmentBackend(tmp / "evicting"), snapshot_every, max_resident=1
     )
     # Eviction round-trips bump the recovery counter; everything else is
     # identical.

@@ -7,7 +7,6 @@ import pytest
 from repro.runtime.journal import begin_record, end_record, event_record, snapshot_record
 from repro.storage import (
     DurabilityPolicy,
-    FileBackend,
     MemoryBackend,
     SegmentBackend,
     StorageError,
@@ -18,12 +17,10 @@ from repro.workflow import Event, FreshValue, Var
 from repro.workloads.generators import churn_program
 
 
-@pytest.fixture(params=["memory", "file", "segment"])
+@pytest.fixture(params=["memory", "segment"])
 def backend(request, tmp_path):
     if request.param == "memory":
         yield MemoryBackend()
-    elif request.param == "file":
-        yield FileBackend(tmp_path / "file")
     else:
         yield SegmentBackend(tmp_path / "seg")
 
@@ -136,14 +133,18 @@ class TestCompaction:
 class TestOpenBackend:
     def test_specs(self, tmp_path):
         assert open_backend("memory").name == "memory"
-        assert open_backend(f"file:{tmp_path/'f'}").name == "file"
         assert open_backend(f"segment:{tmp_path/'s'}").name == "segment"
 
     def test_passthrough_and_bad_spec(self, tmp_path):
         backend = MemoryBackend()
         assert open_backend(backend) is backend
-        # sqlite and the journal: alias of file: are gone, not aliased.
-        for spec in ("bogus:where", f"sqlite:{tmp_path/'db'}", f"journal:{tmp_path/'j'}"):
+        # The sqlite and file backends are gone, not aliased.
+        for spec in (
+            "bogus:where",
+            f"sqlite:{tmp_path/'db'}",
+            f"journal:{tmp_path/'j'}",
+            f"file:{tmp_path/'f'}",
+        ):
             with pytest.raises(StorageError):
                 open_backend(spec)
 

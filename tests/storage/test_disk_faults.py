@@ -185,10 +185,7 @@ def test_compaction_copies_only_acknowledged_lines(tmp_path, fault):
         if (index + 1) % 3 == 0:
             history.append(snapshot_record(index, index + 1, run.instances[index]))
     backend = SegmentBackend(
-        tmp_path,
-        durability="fsync",
-        segment_bytes=1024,
-        fault_injector=one_shot(fault, at=6),
+        tmp_path, durability="fsync", fault_injector=one_shot(fault, at=6)
     )
     store = backend.store("r1")
     faults = 0
@@ -205,8 +202,8 @@ def test_compaction_copies_only_acknowledged_lines(tmp_path, fault):
     store.close()
     assert got == compact_records(history)
     assert warnings == []
-    [segment] = [p for p in store.path.iterdir() if p.name.startswith("seg-")]
-    lines, _, problem = _scan_segment(segment.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == [store.path.name]
+    lines, _, problem = _scan_segment(store.path.read_text())
     assert problem is None and len(lines) == len(got)
 
 
@@ -233,18 +230,15 @@ class TestJournalFaultContainment:
         assert [r["index"] for r in events] == [0, 1, 2, 3]
 
 
-def tear_tail(kind, root):
-    """Append half a record line to run "r"'s journal: what a crash in
-    the middle of an append leaves behind."""
-    if kind == "file":
-        path = journal_path(root, "r")
-    else:
-        path = sorted((root / "r").glob("seg-*.log"))[-1]
-    with open(path, "a", encoding="utf-8") as handle:
+def tear_tail(root):
+    """Append half a record line to run "r"'s log: what a crash in the
+    middle of an append leaves behind."""
+    with open(journal_path(root, "r"), "a", encoding="utf-8") as handle:
         handle.write('0badc0de {"type": "event", "index": 3, "ev')
 
 
-@pytest.mark.parametrize("kind", ["file", "segment"])
+# The segment store is the one durable backend.
+@pytest.mark.parametrize("kind", ["segment"])
 @pytest.mark.parametrize("more", [1, 2])
 def test_events_acknowledged_after_a_torn_tail_survive(tmp_path, kind, more):
     """Reopening a store cuts its torn final line off.  Otherwise the
@@ -263,7 +257,7 @@ def test_events_acknowledged_after_a_torn_tail_survive(tmp_path, kind, more):
         return hosted
 
     asyncio.run(life(events[:3]))
-    tear_tail(kind, root)
+    tear_tail(root)
     reopened = asyncio.run(life(events[3:]))
     assert reopened.applied == 3 + more
     assert reopened.recovery_warnings  # the torn line, reported

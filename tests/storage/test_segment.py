@@ -1,4 +1,4 @@
-"""The segmented log: framing, rolling, tail recovery, atomic compaction."""
+"""A run's log, one file: framing, tail recovery, atomic compaction."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from repro.runtime.journal import (
     begin_record,
     end_record,
     event_record,
+    journal_path,
     quarantine_record,
     snapshot_record,
 )
@@ -62,9 +63,8 @@ def fill(store, records):
         store.append(record)
 
 
-def segment_files(backend, run_id):
-    run_dir = next(backend.root.iterdir())
-    return sorted(p for p in run_dir.iterdir() if p.name.startswith("seg-"))
+def root_entries(backend):
+    return sorted(entry.name for entry in backend.root.iterdir())
 
 
 class TestFraming:
@@ -73,23 +73,15 @@ class TestFraming:
         store = backend.store("r1")
         fill(store, run_records())
         store.sync()
-        for path in segment_files(backend, "r1"):
-            for line in path.read_text().splitlines():
-                crc_text, payload = line[:8], line[9:]
-                assert line[8] == " "
-                assert int(crc_text, 16) == zlib.crc32(payload.encode("utf-8"))
-                assert isinstance(json.loads(payload), dict)
-
-    def test_rolls_at_segment_bytes(self, tmp_path):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
-        store = backend.store("r1")
-        fill(store, run_records(events=30))
-        store.sync()
-        assert len(segment_files(backend, "r1")) > 1
-        got, warnings = store.read()
-        assert warnings == []
-        assert [r["type"] for r in got][0] == "begin"
-        assert sum(1 for r in got if r["type"] == "event") == 30
+        assert store.path == journal_path(tmp_path, "r1")
+        assert root_entries(backend) == ["r1.journal"]
+        lines = store.path.read_text().splitlines()
+        assert len(lines) == len(run_records())
+        for line in lines:
+            crc_text, payload = line[:8], line[9:]
+            assert line[8] == " "
+            assert int(crc_text, 16) == zlib.crc32(payload.encode("utf-8"))
+            assert isinstance(json.loads(payload), dict)
 
 
 class TestTailRecovery:
@@ -99,14 +91,15 @@ class TestTailRecovery:
         store = backend.store("r1")
         fill(store, records)
         store.close()
-        [segment] = segment_files(backend, "r1")
-        data = segment.read_text()
+        log = store.path
+        data = log.read_text()
         # Tear the last record mid-line: no trailing newline.
-        segment.write_text(data + 'deadbeef {"type": "end", "status')
+        log.write_text(data + 'deadbeef {"type": "end", "status')
         reopened = backend.store("r1")
         got, warnings = reopened.read()
         assert got == records
         assert any("truncated" in w for w in warnings)
+        assert log.read_text() == data
 
     def test_corrupt_tail_line_truncated(self, tmp_path):
         backend = SegmentBackend(tmp_path)
@@ -114,12 +107,12 @@ class TestTailRecovery:
         store = backend.store("r1")
         fill(store, records)
         store.close()
-        [segment] = segment_files(backend, "r1")
-        lines = segment.read_text().splitlines(keepends=True)
+        log = store.path
+        lines = log.read_text().splitlines(keepends=True)
         last = lines[-1]
         middle = len(last) // 2
         lines[-1] = last[:middle] + ("x" if last[middle] != "x" else "y") + last[middle + 1 :]
-        segment.write_text("".join(lines))
+        log.write_text("".join(lines))
         reopened = backend.store("r1")
         got, warnings = reopened.read()
         assert got == records[:-1]
@@ -130,20 +123,21 @@ class TestTailRecovery:
         store = backend.store("r1")
         fill(store, run_records())
         store.close()
-        [segment] = segment_files(backend, "r1")
-        lines = segment.read_text().splitlines(keepends=True)
+        lines = store.path.read_text().splitlines(keepends=True)
         # Damage an interior line: acknowledged history, not tail garbage.
         target = lines[2]
         middle = len(target) // 2
         lines[2] = target[:middle] + ("x" if target[middle] != "x" else "y") + target[middle + 1 :]
-        segment.write_text("".join(lines))
-        with pytest.raises(StorageCorruptionError):
+        damaged = "".join(lines)
+        store.path.write_text(damaged)
+        with pytest.raises(StorageCorruptionError, match="mid-log"):
             backend.store("r1")
+        assert store.path.read_text() == damaged  # nothing was cut off
 
 
 class TestCompaction:
     def test_compaction_is_atomic_and_sweeps_old_segments(self, tmp_path):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        backend = SegmentBackend(tmp_path)
         store = backend.store("r1")
         program = churn_program()
         run = execute(program, [make_event(program, i) for i in range(30)])
@@ -153,13 +147,14 @@ class TestCompaction:
             if (index + 1) % 10 == 0:
                 store.append(snapshot_record(index, index + 1, run.final_instance))
         before, _ = store.read()
-        assert len(segment_files(backend, "r1")) > 1
         stats = store.compact()
         assert stats.records_after < stats.records_before
+        assert stats.bytes_after == store.path.stat().st_size < stats.bytes_before
         after, warnings = store.read()
         assert warnings == []
         assert after == compact_records(before)
-        assert len(segment_files(backend, "r1")) == 1
+        # The copy replaced the log: no .tmp is left behind.
+        assert root_entries(backend) == ["r1.journal"]
         # The store still accepts appends after the swap.
         store.append(end_record("completed"))
         got, _ = store.read()
@@ -170,14 +165,14 @@ class TestCompaction:
         store = backend.store("r1")
         fill(store, run_records())
         store.close()
-        run_dir = next(backend.root.iterdir())
-        # A crash between writing a compacted segment and committing the
-        # manifest leaves an orphan; reopening must ignore and remove it.
-        orphan = run_dir / "seg-99999999.log"
+        # A crash between writing a compacted copy and renaming it over
+        # the log leaves an orphan; reopening must ignore and remove it.
+        orphan = tmp_path / "r1.journal.tmp"
         orphan.write_text('00000000 {"type": "garbage"}\n')
+        assert backend.run_ids() == ["r1"]  # an orphan is never listed
         reopened = backend.store("r1")
         got, warnings = reopened.read()
-        assert got == run_records() or [r["type"] for r in got][0] == "begin"
+        assert (got, warnings) == (run_records(), [])
         assert not orphan.exists()
 
 
@@ -185,24 +180,22 @@ class TestCopyCompaction:
     """Compaction copies CRC-checked lines; it never re-encodes."""
 
     def test_writes_the_bytes_a_decode_and_re_encode_writes(self, tmp_path):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        backend = SegmentBackend(tmp_path)
         store = backend.store("r1")
         fill(store, mixed_history())
         before, _ = backend.read_records("r1")
-        assert len(segment_files(backend, "r1")) > 1
         kinds = [r["type"] for r in before]
         assert kinds.count("snapshot") > 1 and "quarantine" in kinds
         assert kinds.count("end") == 2
         store.compact()
-        [segment] = segment_files(backend, "r1")
         expected = "".join(
             _frame(json.dumps(r, sort_keys=True)) for r in compact_records(before)
         )
-        assert segment.read_bytes() == expected.encode("utf-8")
+        assert store.path.read_bytes() == expected.encode("utf-8")
         store.close()
 
     def test_known_types_compact_without_decoding(self, tmp_path, segment_json_calls):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        backend = SegmentBackend(tmp_path)
         store = backend.store("r1")
         records = mixed_history()
         fill(store, records)
@@ -215,13 +208,13 @@ class TestCopyCompaction:
     def test_reopened_store_decodes_once_and_encodes_nothing(
         self, tmp_path, segment_json_calls
     ):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        backend = SegmentBackend(tmp_path)
         records = mixed_history()
         store = backend.store("r1")
         fill(store, records)
         store.close()
-        reopened = backend.store("r1")
         segment_json_calls.clear()
+        reopened = backend.store("r1")  # the open-time scan decodes each line
         stats = reopened.compact()
         assert segment_json_calls["loads"] == len(records)
         assert segment_json_calls["dumps"] == 0
@@ -230,7 +223,7 @@ class TestCopyCompaction:
         reopened.close()
 
     def test_type_index_stays_aligned(self, tmp_path):
-        backend = SegmentBackend(tmp_path, segment_bytes=1024)
+        backend = SegmentBackend(tmp_path)
         records = mixed_history()
 
         def on_disk():
@@ -239,11 +232,9 @@ class TestCopyCompaction:
         store = backend.store("r1")
         assert store._kinds == []
         fill(store, records[:20])
-        assert len(segment_files(backend, "r1")) > 1  # rolled
         assert store._kinds == on_disk()
         store.close()
-        store = backend.store("r1")  # reopened: types unknown until read
-        assert store._kinds is None
+        store = backend.store("r1")  # reopened: the open-time scan
         assert store.record_count() == 20
         assert store._kinds == on_disk()
         fill(store, records[20:])

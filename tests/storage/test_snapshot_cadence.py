@@ -13,13 +13,12 @@ checkpoint)``.  Two properties follow, checked here on every family:
   checkpoint)`` events.
 
 And a served run's store is only appended to: from its open to its
-close it compacts nothing and deletes no file.
+close it compacts nothing and deletes no file, and it is one file.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 
 import pytest
@@ -27,7 +26,6 @@ import pytest
 from repro.runtime.checkpoint import fast_recover
 from repro.service.registry import ShardedRunRegistry
 from repro.storage import MemoryBackend, SegmentBackend
-from repro.storage.segment import MANIFEST_NAME
 from repro.workloads import family_names, get_family
 
 SNAPSHOT_EVERY = 10
@@ -138,32 +136,54 @@ def test_eviction_keeps_the_cadence(kind, tmp_path):
 
 @pytest.fixture
 def file_operations(monkeypatch):
-    """Every ``os.replace`` (with whether its target existed, which frees
-    the replaced file) and ``os.unlink`` from the patch on."""
+    """Every ``os.replace``, ``os.unlink``, ``os.rmdir`` and ``os.mkdir``
+    from the patch on, as ``(call, name, frees)``: *frees* is whether the
+    call freed a file (a replace frees the file it overwrites)."""
     seen = []
-    replace, unlink = os.replace, os.unlink
 
-    def replacing(source, target, *args, **kwargs):
-        seen.append(("replace", os.path.basename(target), os.path.exists(target)))
-        return replace(source, target, *args, **kwargs)
+    def watch(call, frees):
+        real = getattr(os, call)
 
-    def unlinking(path, *args, **kwargs):
-        seen.append(("unlink", os.path.basename(path), True))
-        return unlink(path, *args, **kwargs)
+        def watched(path, *args, **kwargs):
+            target = args[0] if call == "replace" else path
+            seen.append((call, os.path.basename(target), frees(target)))
+            return real(path, *args, **kwargs)
 
-    monkeypatch.setattr("repro.storage.segment.os.replace", replacing)
-    monkeypatch.setattr("repro.storage.segment.os.unlink", unlinking)
+        monkeypatch.setattr(f"repro.storage.segment.os.{call}", watched)
+
+    watch("replace", os.path.exists)
+    watch("unlink", lambda path: True)
+    watch("rmdir", lambda path: True)
+    watch("mkdir", lambda path: False)
     return seen
 
 
-def test_a_new_segment_store_writes_its_manifest_once(tmp_path, file_operations):
-    store = SegmentBackend(tmp_path).store("r")
+def test_a_segment_store_is_one_file(tmp_path, file_operations):
+    """A new store creates its log and nothing else; a served run's
+    store replaces, unlinks and makes nothing from its open to its
+    close, and leaves exactly its one ``*.journal`` behind."""
+    store = SegmentBackend(tmp_path).store("new")
     store.close()
-    assert file_operations == [("replace", MANIFEST_NAME, False)]
-    manifest = json.loads((store.path / MANIFEST_NAME).read_text())
-    assert manifest["segments"] == [
-        entry.name for entry in store.path.iterdir() if entry.name != MANIFEST_NAME
-    ]
+    assert file_operations == []
+    assert [entry.name for entry in tmp_path.iterdir()] == ["new.journal"]
+
+    program, events = family_events("cicd", 600)
+    served = tmp_path / "served"
+    served.mkdir()
+    file_operations.clear()
+
+    async def scenario():
+        registry = ShardedRunRegistry(
+            program, storage=SegmentBackend(served, durability="flush")
+        )
+        hosted, _ = await registry.open("r")
+        for start in range(0, len(events), 64):
+            hosted.apply_batch(events[start : start + 64])
+        await registry.close("r")
+
+    asyncio.run(scenario())
+    assert file_operations == []
+    assert [entry.name for entry in served.iterdir()] == ["r.journal"]
 
 
 def test_a_served_run_frees_no_file(tmp_path, file_operations):

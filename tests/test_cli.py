@@ -319,8 +319,9 @@ class TestJournalAndRecover:
         assert main(["recover", program_file, "--journal", str(journal)]) == 0
 
     def test_journal_bytes_are_pinned(self, program_file, tmp_path, capsys):
-        """The journal `run --journal` writes, byte for byte: the record
-        format, key order, cadence snapshots and no compaction."""
+        """The journal `run --journal` writes, byte for byte: the CRC
+        frames, the record format, key order, cadence snapshots and no
+        compaction."""
         import hashlib
 
         journal = tmp_path / "run.journal"
@@ -331,6 +332,13 @@ class TestJournalAndRecover:
         data = journal.read_bytes()
         assert data.count(b"\n") == 10
         assert hashlib.sha256(data).hexdigest() == (
+            "4ab160d7390f4706910d21d9aca871211ef96612ad20648c988d662ef39e0881"
+        )
+        # Unframed, the payloads are the plain JSON lines journals held
+        # before every durable store shared one framed format: the
+        # record encoding itself is unchanged.
+        payloads = b"".join(line[9:] for line in data.splitlines(keepends=True))
+        assert hashlib.sha256(payloads).hexdigest() == (
             "57f07ea293aca2bca33de77b41998e8303eeefa9cbc83600b59f3fbe5bd90697"
         )
 
@@ -372,7 +380,7 @@ class TestServiceCommands:
             target=lambda: server_rc.append(
                 cli_main(
                     ["serve", "--workload", "churn", "--port", str(port),
-                     "--journal-dir", str(tmp_path / "journals")]
+                     "--storage", f"segment:{tmp_path / 'journals'}"]
                 )
             ),
             daemon=True,
@@ -400,10 +408,11 @@ class TestServiceCommands:
         assert report["applied"] == 4 * 8
         assert server_rc == [0], "serve must exit 0 after a shutdown request"
 
-    def test_recover_by_journal_dir_matches_serve_layout(
+    def test_recover_by_storage_matches_serve_layout(
         self, program_file, tmp_path, capsys
     ):
-        """`recover --journal-dir/--run-id` finds journals `serve` wrote."""
+        """`recover --storage/--run-id` finds journals `serve` wrote, and
+        `recover --journal` reads the very same file."""
         import asyncio
 
         from repro.service import ShardedRunRegistry
@@ -414,26 +423,27 @@ class TestServiceCommands:
         run = RunGenerator(program, seed=3).random_run(5)
 
         async def host():
-            registry = ShardedRunRegistry(program, storage=f"file:{tmp_path}")
+            registry = ShardedRunRegistry(program, storage=f"segment:{tmp_path}")
             hosted, _ = await registry.open("cli run/1")
             for event in run.events:
                 hosted.apply(event)
             await registry.close("cli run/1")
 
         asyncio.run(host())
-        code = main(
-            ["recover", program_file, "--journal-dir", str(tmp_path),
-             "--run-id", "cli run/1"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "journal status:      completed" in out
-        assert "events replayed:     5" in out
+        for source in (
+            ["--storage", f"segment:{tmp_path}", "--run-id", "cli run/1"],
+            ["--journal", str(tmp_path / "cli%20run%2F1.journal")],
+        ):
+            code = main(["recover", program_file, "--full", *source])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "journal status:      completed" in out
+            assert "events replayed:     5" in out
 
     def test_recover_journal_flag_conflicts(self, program_file, capsys):
         code = main(
             ["recover", program_file, "--journal", "x.journal",
-             "--journal-dir", "/tmp", "--run-id", "r"]
+             "--storage", "segment:/tmp", "--run-id", "r"]
         )
         assert code == 2
         assert "exactly one of" in capsys.readouterr().err
@@ -498,7 +508,8 @@ class TestStorageCommands:
         asyncio.run(host())
         return program
 
-    @pytest.mark.parametrize("scheme", ["segment", "file"])
+    # The segment backend is the one durable backend.
+    @pytest.mark.parametrize("scheme", ["segment"])
     def test_recover_from_storage_backend(
         self, scheme, program_file, tmp_path, capsys
     ):
@@ -561,7 +572,7 @@ class TestStorageCommands:
     def test_compact_then_recover_is_lossless(
         self, program_file, tmp_path, capsys
     ):
-        spec = f"file:{tmp_path / 'store'}"
+        spec = f"segment:{tmp_path / 'store'}"
         self._host_run(spec, events=8, snapshot_every=2)
         assert main(["compact", "--storage", spec, "--run-id", "r1"]) == 0
         capsys.readouterr()
