@@ -42,27 +42,19 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from ..service.errors import ProtocolError, ServiceError
 from ..service.protocol import (
-    LineReader,
     MAX_LINE_BYTES,
+    MAX_REPLY_BYTES,
+    LineConnection,
     decode_line,
     encode_message,
     error_response,
     ok_response,
     parse_request,
+    start_line_server,
 )
 from .ring import HashRing
 
 __all__ = ["ClusterRouter", "RouterServer"]
-
-#: Network/framing failures that mark a pooled connection dead.
-_CONNECTION_ERRORS = (
-    ConnectionError,
-    OSError,
-    EOFError,
-    asyncio.IncompleteReadError,
-    asyncio.TimeoutError,
-)
-
 
 class _NodePool:
     """A small pool of JSON-lines connections to one shard address.
@@ -84,41 +76,32 @@ class _NodePool:
         self.port = port
         self.size = size
         self._slots = asyncio.Semaphore(size)
-        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._idle: List[LineConnection] = []
 
-    async def acquire(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    async def acquire(self) -> LineConnection:
         await self._slots.acquire()
         try:
             while self._idle:
-                reader, writer = self._idle.pop()
-                if writer.is_closing():
-                    continue
-                return reader, writer
-            return await asyncio.open_connection(self.host, self.port, limit=1 << 22)
+                connection = self._idle.pop()
+                if not connection.is_closing():
+                    return connection
+                connection.close()
+            return await LineConnection.connect(self.host, self.port, MAX_REPLY_BYTES)
         except BaseException:
             self._slots.release()
             raise
 
-    def release(self, connection: Tuple[asyncio.StreamReader, asyncio.StreamWriter]) -> None:
+    def release(self, connection: LineConnection) -> None:
         self._idle.append(connection)
         self._slots.release()
 
-    def discard(self, connection: Tuple[asyncio.StreamReader, asyncio.StreamWriter]) -> None:
-        _, writer = connection
-        try:
-            writer.close()
-        except Exception:
-            pass
+    def discard(self, connection: LineConnection) -> None:
+        connection.close()
         self._slots.release()
 
     async def close(self) -> None:
         while self._idle:
-            _, writer = self._idle.pop()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            self._idle.pop().close()
 
 
 class ClusterRouter:
@@ -177,11 +160,7 @@ class ClusterRouter:
             # address, gets a connection error, and the caller's retry
             # loop re-resolves to this new address).
             while stale._idle:
-                _, writer = stale._idle.pop()
-                try:
-                    writer.close()
-                except Exception:
-                    pass
+                stale._idle.pop().close()
         self.counters["repoints"] += 1
 
     def _pool(self, node: str) -> _NodePool:
@@ -199,13 +178,13 @@ class ClusterRouter:
     async def _roundtrip(self, node: str, message: Dict[str, Any]) -> bytes:
         pool = self._pool(node)
         connection = await pool.acquire()
-        reader, writer = connection
         try:
-            writer.write(encode_message(message))
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError(f"shard {node} closed the connection")
+            line = await connection.roundtrip(encode_message(message))
+        except ProtocolError as exc:  # a reply over the cap, drained: still framed
+            pool.release(connection)
+            return encode_message(
+                error_response(message.get("id"), "service", f"shard {node}: {exc}")
+            )
         except BaseException:
             pool.discard(connection)
             raise
@@ -235,7 +214,7 @@ class ClusterRouter:
             node = self.ring.owner(run_id)
             try:
                 line = await self._roundtrip(node, message)
-            except _CONNECTION_ERRORS:
+            except OSError:
                 if not retriable or loop.time() >= deadline:
                     self.counters["unavailable"] += 1
                     return encode_message(
@@ -284,7 +263,7 @@ class ClusterRouter:
         async def one(node: str) -> Tuple[str, Dict[str, Any]]:
             try:
                 return node, decode_line(await self._roundtrip(node, message_for(node)))
-            except _CONNECTION_ERRORS as exc:
+            except OSError as exc:
                 return node, error_response(None, "unavailable", str(exc))
 
         results = await asyncio.gather(*(one(node) for node in sorted(self.addresses)))
@@ -431,44 +410,13 @@ class RouterServer:
         return self._server.sockets[0].getsockname()[:2]
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=1 << 22
+        self._server = await start_line_server(
+            self.router.handle_line,
+            self.host,
+            self.port,
+            self.max_line_bytes,
+            stop=self.router.shutdown_requested,
         )
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        lines = LineReader(reader, self.max_line_bytes)
-        try:
-            while True:
-                line, oversized = await lines.readline()
-                if not line and not oversized:
-                    break
-                if oversized:
-                    response = encode_message(
-                        error_response(
-                            None,
-                            "protocol",
-                            f"request line exceeds {self.max_line_bytes} bytes "
-                            "and was discarded",
-                        )
-                    )
-                else:
-                    if not line.strip():
-                        continue
-                    response = await self.router.handle_line(line)
-                writer.write(response)
-                await writer.drain()
-                if self.router.shutdown_requested.is_set():
-                    break
-        except _CONNECTION_ERRORS:
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
 
     async def serve_until_shutdown(self) -> None:
         assert self._server is not None, "call start() first"

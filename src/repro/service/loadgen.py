@@ -39,7 +39,7 @@ from ..workflow.program import WorkflowProgram
 from ..workflow.runs import execute
 from ..workflow.serialization import event_to_dict, instance_to_dict
 from .errors import ERROR_CODES, ServiceError
-from .protocol import PROTOCOL_VERSION, decode_line, encode_message
+from .protocol import PROTOCOL_VERSION, LineConnection, decode_line, encode_message
 
 __all__ = [
     "ClientStats",
@@ -53,31 +53,27 @@ __all__ = [
 class ServiceClient:
     """A minimal JSON-lines client for one connection to the service."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, connection: LineConnection) -> None:
+        self._connection = connection
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        # A reply can outgrow asyncio's 64 KiB default line limit (a
-        # ``metrics`` answer renders the whole process's registry); read
-        # the lines the router reads.
-        reader, writer = await asyncio.open_connection(host, port, limit=1 << 22)
-        return cls(reader, writer)
+        return cls(await LineConnection.connect(host, port))
 
     async def request(self, **message: Any) -> Dict[str, Any]:
         """Send one request and await its response line.
 
-        The client is also a protocol checker: a failure response whose
+        A reply over the connection's cap (``MAX_REPLY_BYTES``, far
+        above a ``metrics`` answer) raises ``ProtocolError``.  The
+        client is also a protocol checker: a failure response whose
         ``error`` is not in the shared :data:`ERROR_CODES` registry, or
         a response claiming a newer protocol than this client speaks,
         is itself a violation and raises.
         """
-        self._writer.write(encode_message(message))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ServiceError("server closed the connection mid-request")
+        try:
+            line = await self._connection.roundtrip(encode_message(message))
+        except ConnectionError as exc:
+            raise ServiceError("server closed the connection mid-request") from exc
         response = decode_line(line)
         claimed = response.get("protocol")
         if isinstance(claimed, int) and claimed > PROTOCOL_VERSION:
@@ -101,11 +97,7 @@ class ServiceClient:
         return response
 
     async def close(self) -> None:
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        self._connection.close()
 
 
 def _canonical_view(data: Dict[str, Any]) -> Dict[str, frozenset]:

@@ -121,20 +121,24 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple as PyTuple
+import mmap
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple as PyTuple
 
 from .errors import ProtocolError
 
 __all__ = [
-    "LineReader",
+    "LineConnection",
     "MAX_LINE_BYTES",
+    "MAX_REPLY_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
+    "READ_BYTES",
     "decode_line",
     "encode_message",
     "error_response",
     "ok_response",
     "parse_request",
+    "start_line_server",
 ]
 
 #: Version 2 added the ``metrics`` and ``provenance`` ops and the
@@ -151,6 +155,19 @@ PROTOCOL_VERSION = 5
 #: Request lines longer than this are rejected with a structured
 #: ``protocol`` error envelope instead of dropping the connection.
 MAX_LINE_BYTES = 1 << 20
+
+#: A client's cap on one reply line: a ``metrics`` or ``applicable``
+#: answer can be far longer than any request.
+MAX_REPLY_BYTES = 1 << 22
+
+#: The most one read brings in, and the size of the buffer each
+#: connection keeps for its reads.
+READ_BYTES = 1 << 18
+
+
+def _read_buffer(size: int) -> mmap.mmap:
+    """An anonymous mapping: a page of it costs memory once a read writes it."""
+    return mmap.mmap(-1, size)
 
 #: Every operation the server understands.
 OPS = (
@@ -189,66 +206,312 @@ _RUN_OPS = frozenset(
 _PEER_OPS = frozenset({"view", "explain", "provenance_rank"})
 
 
-class LineReader:
-    """Newline-framed reads with a hard per-line cap.
+class LineConnection(asyncio.BufferedProtocol):
+    """One newline-framed connection, read into a buffer it keeps.
 
-    ``asyncio.StreamReader.readline`` raises ``ValueError`` on an
-    over-limit line *and clears its buffer*, which desynchronizes the
-    framing and historically made the server drop the whole connection.
-    This reader frames lines itself: a line at or under ``max_bytes``
-    is returned whole; a longer one is *drained* through to its
-    terminating newline and reported as oversized — the connection
-    stays framed and usable, and the caller can answer with a
-    structured error envelope instead of a hangup.
+    asyncio's stream transport reads each chunk with ``sock.recv`` into a
+    fresh 256 KiB buffer, which the allocator may serve with an ``mmap``
+    and page faults on every request.  This protocol receives with
+    ``recv_into`` into one buffer of :data:`READ_BYTES` that it keeps
+    for the life of the connection, an anonymous mapping of which only
+    the pages reads have written are resident, and wakes its reader
+    only when a whole line, the end of the stream or an oversized line
+    is ready.
+
+    Framing keeps a hard per-line cap: a line whose bytes before the
+    newline number at most ``max_line_bytes`` comes back whole; a longer
+    one is *drained* through to its terminating newline and reported as
+    oversized, with its first ``max_line_bytes`` bytes for diagnostics,
+    so the connection stays framed and the peer can be answered with an
+    error envelope instead of a hangup.  An unterminated fragment at the
+    end of the stream comes back as it is.  Reading pauses past a
+    high-water mark, half the buffer held behind a line the reader has
+    not taken, and resumes once the reader catches up.
+
+    Servers use it through :func:`start_line_server`; clients dial with
+    :meth:`connect` and exchange lines with :meth:`roundtrip`.
     """
 
     def __init__(
-        self, reader: asyncio.StreamReader, max_bytes: int = MAX_LINE_BYTES
+        self,
+        max_line_bytes: int = MAX_LINE_BYTES,
+        on_connect: Optional[Callable[["LineConnection"], Awaitable[None]]] = None,
     ) -> None:
-        if max_bytes < 2:
+        if max_line_bytes < 2:
             raise ProtocolError("the line cap must be at least 2 bytes")
-        self._reader = reader
-        self.max_bytes = max_bytes
-        self._buffer = bytearray()
-        self.oversized_lines = 0
+        self.max_line_bytes = max_line_bytes
+        self._on_connect = on_connect
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._task: Optional["asyncio.Task[None]"] = None
+        self._read_bytes = READ_BYTES
+        self._buffer = _read_buffer(READ_BYTES)
+        #: Unconsumed bytes are ``_buffer[_start:_end]``; ``_newline`` is
+        #: the first newline among them, or -1 when they hold none.
+        self._start = 0
+        self._end = 0
+        self._newline = -1
+        #: The capped prefix of an oversized line, and whether its bytes
+        #: are still being dropped while its newline has not arrived.
+        self._oversized: Optional[bytes] = None
+        self._discarding = False
+        self._eof = False
+        self._reading_paused = False
+        self._waiter: Optional["asyncio.Future[None]"] = None
+        self._writing_paused = False
+        self._drain_waiter: Optional["asyncio.Future[None]"] = None
+        self._lost = False
+
+    @classmethod
+    async def connect(
+        cls, host: str, port: int, max_line_bytes: int = MAX_REPLY_BYTES
+    ) -> "LineConnection":
+        """The client form: a connection dialled to *host*:*port*."""
+        loop = asyncio.get_running_loop()
+        _, connection = await loop.create_connection(
+            lambda: cls(max_line_bytes), host, port
+        )
+        return connection
+
+    # ------------------------------------------------------------------
+    # The transport's side
+    # ------------------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        if self._on_connect is not None:
+            self._task = self._loop.create_task(self._on_connect(self))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._end == 0 and len(self._buffer) > self._read_bytes:
+            self._buffer = _read_buffer(self._read_bytes)  # a long line has gone
+        elif len(self._buffer) - self._end < self._read_bytes // 4:
+            self._make_room()
+        return memoryview(self._buffer)[self._end : self._end + self._read_bytes]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        scan_from = self._end
+        self._end += nbytes
+        if self._discarding:
+            newline = self._buffer.find(b"\n", scan_from, self._end)
+            if newline < 0:
+                self._start = self._end = 0  # still inside the oversized line
+                return
+            self._discarding = False
+            self._start = scan_from = newline + 1
+        if self._newline < 0:
+            self._newline = self._buffer.find(b"\n", scan_from, self._end)
+            if self._newline < 0:
+                self._settle()
+        if self._has_frame():
+            self._wake()
+            if (
+                not self._reading_paused
+                and self._end - self._start >= self._read_bytes // 2
+            ):
+                self._reading_paused = True
+                self._transport.pause_reading()  # type: ignore[union-attr]
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # stay open to write the answers still owed
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._eof = self._lost = True
+        self._wake()
+        if self._drain_waiter is not None and not self._drain_waiter.done():
+            self._drain_waiter.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        if self._drain_waiter is not None and not self._drain_waiter.done():
+            self._drain_waiter.set_result(None)
+
+    # ------------------------------------------------------------------
+    # Framing
+    # ------------------------------------------------------------------
+
+    def _make_room(self) -> None:
+        """Move the unconsumed bytes to the front, growing for a long line."""
+        pending = self._buffer[self._start : self._end]
+        if len(self._buffer) - len(pending) < self._read_bytes // 4:
+            self._buffer = _read_buffer(len(pending) + self._read_bytes)
+        self._buffer[: len(pending)] = pending
+        if self._newline >= 0:
+            self._newline -= self._start
+        self._start, self._end = 0, len(pending)
+
+    def _settle(self) -> None:
+        """With no newline pending: rewind an empty buffer, or start
+        dropping a line that has outgrown the cap."""
+        if self._start == self._end:
+            self._start = self._end = 0
+        elif self._oversized is None and self._end - self._start > self.max_line_bytes:
+            start = self._start
+            self._oversized = self._buffer[start : start + self.max_line_bytes]
+            self._discarding = True
+            self._start = self._end = 0
+
+    def _has_frame(self) -> bool:
+        return self._newline >= 0 or (
+            self._oversized is not None and not self._discarding
+        )
+
+    def _frame(self) -> Optional[PyTuple[bytes, bool]]:
+        """The next ``(line, oversized)``, or None until more bytes arrive."""
+        if self._oversized is not None:
+            if self._discarding and not self._eof:
+                return None
+            frame = self._oversized, True
+            self._oversized, self._discarding = None, False
+        elif self._newline >= 0:
+            start, newline = self._start, self._newline
+            if newline - start <= self.max_line_bytes:
+                frame = self._buffer[start : newline + 1], False
+            else:
+                frame = self._buffer[start : start + self.max_line_bytes], True
+            self._start = newline + 1
+            self._newline = self._buffer.find(b"\n", self._start, self._end)
+        elif self._eof:
+            frame = self._buffer[self._start : self._end], False
+            self._start = self._end
+        else:
+            return None
+        if self._newline < 0:
+            self._settle()
+        if self._reading_paused and not (
+            self._has_frame() and self._end - self._start >= self._read_bytes // 2
+        ):
+            self._reading_paused = False
+            self._transport.resume_reading()  # type: ignore[union-attr]
+        return frame
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    # ------------------------------------------------------------------
+    # The reader's and the writer's side
+    # ------------------------------------------------------------------
 
     async def readline(self) -> PyTuple[bytes, bool]:
         """``(line, oversized)`` — ``(b"", False)`` at EOF.
 
         *line* includes its newline when one arrived; an unterminated
-        trailing fragment at EOF is returned as-is (matching
-        ``StreamReader.readline``).  When *oversized* is True the line
-        exceeded the cap: its bytes were consumed and discarded, and
-        *line* is only the (capped) prefix, for diagnostics.
+        trailing fragment at EOF is returned as-is.  When *oversized* is
+        True the line exceeded the cap: its bytes were consumed and
+        discarded, and *line* is only the (capped) prefix.
         """
         while True:
-            newline = self._buffer.find(b"\n")
-            if 0 <= newline <= self.max_bytes:
-                line = bytes(self._buffer[: newline + 1])
-                del self._buffer[: newline + 1]
-                return line, False
-            if newline > self.max_bytes or len(self._buffer) > self.max_bytes:
-                return await self._drain_oversized(newline), True
-            chunk = await self._reader.read(65536)
-            if not chunk:
-                line = bytes(self._buffer)
-                self._buffer.clear()
-                return line, False
-            self._buffer.extend(chunk)
+            frame = self._frame()
+            if frame is not None:
+                return frame
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
 
-    async def _drain_oversized(self, newline: int) -> bytes:
-        """Consume the oversized line through its newline; keep the rest."""
-        self.oversized_lines += 1
-        prefix = bytes(self._buffer[: self.max_bytes])
-        while newline < 0:
-            del self._buffer[:]
-            chunk = await self._reader.read(65536)
-            if not chunk:  # EOF mid-line: nothing left to resynchronize
-                return prefix
-            self._buffer.extend(chunk)
-            newline = self._buffer.find(b"\n")
-        del self._buffer[: newline + 1]
-        return prefix
+    def write(self, data: bytes) -> None:
+        self._transport.write(data)  # type: ignore[union-attr]
+
+    async def drain(self) -> None:
+        """Wait until the transport accepts more writes."""
+        if self._writing_paused and not self._lost:
+            self._drain_waiter = self._loop.create_future()
+            try:
+                await self._drain_waiter
+            finally:
+                self._drain_waiter = None
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+
+    async def roundtrip(self, line: bytes) -> bytes:
+        """The client form: send one request line, return its reply line.
+
+        A reply over the cap raises :class:`ProtocolError` (the
+        connection stays framed); a connection that ends before a whole
+        reply raises :class:`ConnectionResetError`.
+        """
+        self.write(line)
+        await self.drain()
+        reply, oversized = await self.readline()
+        if oversized:
+            raise ProtocolError(
+                f"reply line exceeds {self.max_line_bytes} bytes and was discarded"
+            )
+        if not reply.endswith(b"\n"):
+            raise ConnectionResetError("connection closed before a whole reply")
+        return reply
+
+    def is_closing(self) -> bool:
+        return self._eof or self._transport is None or self._transport.is_closing()
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+
+async def _converse(
+    connection: LineConnection,
+    answer: Callable[[bytes], Awaitable[bytes]],
+    stop: Optional[asyncio.Event],
+) -> None:
+    """The one connection loop: answer each request line in order."""
+    try:
+        while True:
+            line, oversized = await connection.readline()
+            if oversized:
+                # The line was drained through its newline, so the
+                # connection stays framed: reply with a structured
+                # envelope instead of hanging up on the client.
+                reply = encode_message(
+                    error_response(
+                        None,
+                        "protocol",
+                        f"request line exceeds {connection.max_line_bytes} bytes "
+                        "and was discarded",
+                    )
+                )
+            elif not line:
+                break
+            else:
+                reply = await answer(line)
+            connection.write(reply)
+            await connection.drain()
+            if stop is not None and stop.is_set():
+                break
+    except OSError:  # the peer is gone
+        pass
+    finally:
+        connection.close()
+
+
+async def start_line_server(
+    answer: Callable[[bytes], Awaitable[bytes]],
+    host: str,
+    port: int,
+    max_line_bytes: int = MAX_LINE_BYTES,
+    stop: Optional[asyncio.Event] = None,
+) -> asyncio.AbstractServer:
+    """Listen on *host*:*port*, answering each request line with *answer*.
+
+    Requests on one connection are answered strictly in order.  Once
+    *stop* is set, a connection closes after the reply it is writing.
+    """
+    loop = asyncio.get_running_loop()
+    return await loop.create_server(
+        lambda: LineConnection(
+            max_line_bytes,
+            on_connect=lambda connection: _converse(connection, answer, stop),
+        ),
+        host,
+        port,
+    )
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:

@@ -40,12 +40,12 @@ from .broker import EventBroker
 from .errors import ProtocolError, ServiceError, UnknownRunError, error_code
 from .protocol import (
     MAX_LINE_BYTES,
-    LineReader,
     decode_line,
     encode_message,
     error_response,
     ok_response,
     parse_request,
+    start_line_server,
 )
 from .registry import ShardedRunRegistry
 
@@ -500,49 +500,18 @@ class ServiceServer:
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await start_line_server(
+            self._answer, self.host, self.port, self.max_line_bytes
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        lines = LineReader(reader, self.max_line_bytes)
+    async def _answer(self, line: bytes) -> bytes:
+        """One request line in, one reply line out."""
         try:
-            while True:
-                line, oversized = await lines.readline()
-                if not line and not oversized:
-                    break
-                if oversized:
-                    # The line was drained through its newline, so the
-                    # connection stays framed: reply with a structured
-                    # envelope instead of hanging up on the client.
-                    response = error_response(
-                        None,
-                        "protocol",
-                        f"request line exceeds {self.max_line_bytes} bytes "
-                        "and was discarded",
-                    )
-                else:
-                    try:
-                        message = decode_line(line)
-                    except ProtocolError as exc:
-                        response = error_response(None, "protocol", str(exc))
-                    else:
-                        response = await self.service.handle(message)
-                writer.write(encode_message(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:  # server closing under our feet
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except BaseException:  # teardown best effort (incl. cancellation)
-                pass
+            message = decode_line(line)
+        except ProtocolError as exc:
+            return encode_message(error_response(None, "protocol", str(exc)))
+        return encode_message(await self.service.handle(message))
 
     async def serve_until_shutdown(self) -> None:
         """Serve until a ``shutdown`` request arrives, then tear down cleanly."""

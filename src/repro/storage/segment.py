@@ -34,7 +34,9 @@ creates one file and frees none.
 
 **Compaction** is the offline ``repro compact``.  The store keeps a
 type index: the ``type`` of every record in its log, in order, built
-when the store opens and extended by each acknowledged append.
+when the store opens and extended by each acknowledged append.  (The
+records that open-time scan decodes go to the first :meth:`read`, so
+recovery decodes each line once.)
 ``compact()`` decides what to keep from those types alone
 (:func:`~repro.storage.backend.kept_positions`, the rule behind
 :func:`~repro.storage.backend.compact_records`), then copies the kept
@@ -197,6 +199,10 @@ class SegmentStore(RunStore):
         #: The ``type`` of every record in the log, in order: what
         #: :meth:`compact` decides from.  Built by the open-time scan.
         self._kinds: List[str] = []
+        #: The records the open-time scan decoded, handed to the first
+        #: :meth:`read` and dropped by the first write, so recovery
+        #: decodes each line once and a served run keeps no copy.
+        self._decoded: Optional[List[Dict[str, Any]]] = None
         #: Tail repairs performed when the store was opened; surfaced by
         #: the next :meth:`read` so recovery paths can report them.
         self._open_warnings: List[str] = self._recover_tail()
@@ -219,10 +225,11 @@ class SegmentStore(RunStore):
         data = self._text() if self.path.exists() else ""
         records, valid_bytes, problem = _parse_segment(data)
         self._kinds = [record["type"] for record in records]
+        if problem is not None and "mid-log" in problem:
+            raise _damaged(self.path.name, problem)
+        self._decoded = records
         if problem is None:
             return []
-        if "mid-log" in problem:
-            raise _damaged(self.path.name, problem)
         with open(self.path, "r+", encoding="utf-8") as handle:
             handle.truncate(len(data[:valid_bytes].encode("utf-8")))
         TAIL_RECOVERIES.labels(backend=self.backend.name).inc()
@@ -246,6 +253,7 @@ class SegmentStore(RunStore):
             raise StorageError(f"store for run {self.run_id!r} is closed")
         if self._needs_repair:
             self._repair()
+        self._decoded = None
         line = _frame(json.dumps(record, sort_keys=True))
         injector = self.backend.fault_injector
         fault = injector.on_append() if injector is not None else None
@@ -320,7 +328,11 @@ class SegmentStore(RunStore):
             self._sink.flush()
             if self._needs_repair:
                 self._repair()
-        records, warnings = read_log(self._text(), self.path.name)
+        if self._decoded is not None:
+            records, warnings = self._decoded, []
+            self._decoded = None
+        else:
+            records, warnings = read_log(self._text(), self.path.name)
         warnings = self._open_warnings + warnings
         self._open_warnings = []
         return records, warnings
@@ -328,6 +340,7 @@ class SegmentStore(RunStore):
     def compact(self) -> CompactionStats:
         if self._needs_repair:
             self._repair()
+        self._decoded = None
         kinds = self._kinds
         kept = kept_positions(kinds)
         bytes_before = self.size_bytes()

@@ -239,7 +239,7 @@ class TestNodePool:
             pool.discard(first)
             pool.discard(second)
             fresh = await asyncio.wait_for(waiter, timeout=2)
-            assert not fresh[1].is_closing()
+            assert not fresh.is_closing()
             pool.discard(fresh)
             await pool.close()
             listener.close()
@@ -271,7 +271,7 @@ class TestNodePool:
             pool.discard(second)
             fresh = await asyncio.wait_for(asyncio.gather(*waiters), timeout=2)
             for connection in fresh:
-                assert not connection[1].is_closing()
+                assert not connection.is_closing()
                 pool.discard(connection)
             await pool.close()
             listener.close()

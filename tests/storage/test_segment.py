@@ -269,3 +269,63 @@ def test_kept_positions_is_the_compaction_rule(kinds):
             assert position in kept
     records = [{"type": kind, "n": n} for n, kind in enumerate(kinds)]
     assert compact_records(records) == [records[i] for i in kept]
+
+
+class TestDecodeOnce:
+    """A reopened log is decoded once: the open-time scan's records go
+    to the first read, and the first write drops them."""
+
+    def test_registry_recovery_decodes_each_line_once(
+        self, tmp_path, segment_json_calls
+    ):
+        import asyncio
+
+        from repro.service.registry import ShardedRunRegistry
+        from repro.workloads import get_family
+
+        family = get_family("cicd")
+        program = family.program()
+        events = list(family.run(seed=1000, steps=600, program=program).events)
+        backend = SegmentBackend(tmp_path, durability="flush")
+
+        async def serve():
+            registry = ShardedRunRegistry(program, storage=backend)
+            hosted, _ = await registry.open("r")
+            for start in range(0, len(events), 64):
+                hosted.apply_batch(events[start : start + 64])
+            await registry.close("r", status="suspended")
+            return hosted.instance
+
+        async def recover():
+            registry = ShardedRunRegistry(program, storage=backend)
+            segment_json_calls.clear()
+            hosted, recovered = await registry.open("r")
+            loads = segment_json_calls["loads"]
+            await registry.close("r")
+            return hosted, recovered, loads
+
+        served = asyncio.run(serve())
+        lines = (tmp_path / "r.journal").read_text().count("\n")
+        hosted, recovered, loads = asyncio.run(recover())
+        assert recovered and hosted.applied == len(events)
+        assert hosted.instance == served
+        assert lines == 608
+        assert loads == lines
+
+    def test_a_write_drops_the_open_time_records(self, tmp_path):
+        backend = SegmentBackend(tmp_path)
+        records = mixed_history()
+        store = backend.store("r1")
+        fill(store, records[:10])
+        store.close()
+        reopened = backend.store("r1")
+        assert reopened._decoded == records[:10]
+        reopened.append(records[10])
+        assert reopened._decoded is None
+        assert reopened.read()[0] == records[:11]
+        reopened.close()
+        again = backend.store("r1")
+        assert again.read()[0] == records[:11]
+        assert again._decoded is None  # handed over, not kept
+        assert again.read()[0] == records[:11]
+        again.close()
