@@ -28,7 +28,8 @@ The record is also what the explanations are computed from: a hosted
 lifecycle opens (``insert``) and closes (``delete``), attribute
 modifications (``filled``) and visibility (``visible_to``) off it.
 ``filled`` is recorded but never cited — :meth:`ProvenanceRecord.to_dict`
-leaves it out, so citations keep their wire format.
+leaves it out, so citations keep their wire format.  A record builds its
+citation once, read-only, and every answer citing the record shares it.
 """
 
 from __future__ import annotations
@@ -64,17 +65,54 @@ class ProvenanceRecord:
     filled: Tuple[Tuple[str, Any, str], ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "rule": self.rule,
-            "peer": self.peer,
-            "touched": [
-                {"relation": relation, "key": _jsonable(key), "action": action}
-                for relation, key, action in self.touched
-            ],
-            "visible_to": list(self.visible_to),
-            **({"span_id": self.span_id} if self.span_id is not None else {}),
-        }
+        """The record's citation, built on first use and then shared.
+
+        Read-only throughout (mutating it raises :class:`TypeError`):
+        every answer that cites the record carries this one object.  The
+        memo is not a dataclass field, so it leaves ``==``, ``hash`` and
+        ``repr`` alone.
+        """
+        citation = self.__dict__.get("_citation")
+        if citation is None:
+            citation = _ReadOnlyDict(
+                seq=self.seq,
+                rule=self.rule,
+                peer=self.peer,
+                touched=_ReadOnlyList(
+                    _ReadOnlyDict(relation=relation, key=_jsonable(key), action=action)
+                    for relation, key, action in self.touched
+                ),
+                visible_to=_ReadOnlyList(self.visible_to),
+                **({"span_id": self.span_id} if self.span_id is not None else {}),
+            )
+            object.__setattr__(self, "_citation", citation)
+        return citation
+
+
+def _read_only(self: Any, *args: Any, **kwargs: Any) -> None:
+    raise TypeError("a provenance citation is shared by every answer: copy it to change it")
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses mutation (JSON-encodes as a plain object)."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Any:  # copy and pickle rebuild, never mutate
+        return (type(self), (dict(self),))
+
+
+class _ReadOnlyList(list):
+    """A list that refuses mutation (JSON-encodes as a plain array)."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self) -> Any:
+        return (type(self), (list(self),))
 
 
 def _jsonable(value: Any) -> Any:

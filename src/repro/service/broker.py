@@ -69,6 +69,11 @@ _SUBMISSIONS = METRICS.counter(
     "Event submissions resolved by the broker, by status",
     labelnames=("status",),
 )
+#: Each status's child, resolved once instead of per submission.
+_RESOLVED = {
+    status: _SUBMISSIONS.labels(status=status)
+    for status in (APPLIED, QUARANTINED, REJECTED_BACKPRESSURE, REJECTED_BUDGET)
+}
 _BROKER_RETRIES = METRICS.counter(
     "repro_broker_retries_total",
     "Event applications retried by broker workers",
@@ -246,7 +251,7 @@ class EventBroker:
         mailbox = self._mailbox(run_id)
         if mailbox.queue.qsize() >= self.queue_capacity:
             self.counters[REJECTED_BACKPRESSURE] += 1
-            _SUBMISSIONS.labels(status=REJECTED_BACKPRESSURE).inc()
+            _RESOLVED[REJECTED_BACKPRESSURE].inc()
             return SubmitOutcome(
                 run_id,
                 REJECTED_BACKPRESSURE,
@@ -289,7 +294,7 @@ class EventBroker:
             hosted.submitted += 1
             if mailbox.queue.qsize() >= self.queue_capacity:
                 self.counters[REJECTED_BACKPRESSURE] += 1
-                _SUBMISSIONS.labels(status=REJECTED_BACKPRESSURE).inc()
+                _RESOLVED[REJECTED_BACKPRESSURE].inc()
                 outcomes.append(
                     SubmitOutcome(
                         run_id,
@@ -312,7 +317,7 @@ class EventBroker:
 
     def _reject_budget(self, run_id: str) -> SubmitOutcome:
         self.counters[REJECTED_BUDGET] += 1
-        _SUBMISSIONS.labels(status=REJECTED_BUDGET).inc()
+        _RESOLVED[REJECTED_BUDGET].inc()
         return SubmitOutcome(
             run_id,
             REJECTED_BUDGET,
@@ -322,7 +327,7 @@ class EventBroker:
     def _count(self, outcome: SubmitOutcome) -> None:
         """Count a settled outcome and tick the service budget."""
         self.counters[outcome.status] = self.counters.get(outcome.status, 0) + 1
-        _SUBMISSIONS.labels(status=outcome.status).inc()
+        _RESOLVED[outcome.status].inc()
         if self.budget is not None:
             # Tick the service budget per settled event without raising
             # out of the applier; admission sees the result.

@@ -36,7 +36,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple as PyTuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple as PyTuple, Union
 
 from ..core.explain import run_provenance
 from ..core.incremental import IncrementalExplainer
@@ -53,6 +53,7 @@ from ..storage.backend import (
     open_backend,
 )
 from ..dataflow.graph import DeltaEffect, DeltaGraph
+from ..workflow.domain import FreshValue, FreshValueSource
 from ..workflow.engine import apply_event_with_delta, apply_events
 from ..workflow.errors import EventError
 from ..workflow.eventindex import ApplicableEventIndex
@@ -118,6 +119,11 @@ class HostedRun:
     one record of each transition: an explainer catches up from it when
     wired and then advances with each record the push writes, so no
     explainer applies an event and explanation queries never replay.
+
+    The run also keeps the values it has used (Section 2's freshness):
+    ``applicable`` mints head-only values outside them, and a submitted
+    event whose head-only value is among them is refused with
+    :class:`~repro.workflow.errors.FreshnessViolation`.
     """
 
     def __init__(
@@ -161,6 +167,23 @@ class HostedRun:
         #: determine provenance too.
         self.provenance = ProvenanceLog()
         self.dataflow.subscribe(self.provenance.record_push, name="provenance")
+        #: The values the run has used: const(P), the initial instance's
+        #: values and every committed event's head-only values.  Those
+        #: are the only values an event brings in (its body variables
+        #: are bound from the acting peer's view, its head constants are
+        #: in const(P)), so a value outside the set occurs in no instance
+        #: of the run: it is globally fresh.  Rebuilt from the event log
+        #: on recovery and rehydration.
+        self.used_values: Set[object] = set(program.constants())
+        self.used_values.update(initial.active_domain())
+        #: The lowest fresh-value index not in :attr:`used_values`.
+        self._fresh_floor = 0
+        for event in self.events:
+            self._use(event)
+        #: The last ``view`` answer built: (the view instance, its dict).
+        #: The graph replaces a peer's view instance on every change to
+        #: it, so the dict is reused while the instance is the same one.
+        self.last_view: Optional[PyTuple[Instance, Dict[str, Any]]] = None
 
     # ------------------------------------------------------------------
     # Application
@@ -183,17 +206,19 @@ class HostedRun:
         when the event does not apply — classification
         (retry/quarantine) is the broker's job.  A
         :class:`~repro.runtime.faults.DiskFault` from the journal also
-        propagates *before* any in-memory state changes: the event was
-        not acknowledged and a retry observes a self-healed store.
+        propagates *before* any in-memory state changes — its values
+        are not yet used — so the event was not acknowledged and a retry
+        observes a self-healed store.
         """
         result, delta = apply_event_with_delta(
-            self.program.schema, self.instance, event, forbidden_fresh=None
+            self.program.schema, self.instance, event, self.used_values
         )
         seq = len(self.events)
         if self.journal is not None:
             self.journal.record_event(seq, event, result)
         self.instance = result
         self.events.append(event)
+        self._use(event)
         effect = self.dataflow.push(
             delta, result, seq=seq, event=event, span_id=current_span_id()
         )
@@ -234,7 +259,7 @@ class HostedRun:
         error: Optional[BaseException] = None
         try:
             pairs = apply_events(
-                self.program.schema, self.instance, events, forbidden_fresh=None
+                self.program.schema, self.instance, events, self.used_values
             )
         except EventError as exc:
             pairs = list(getattr(exc, "batch_prefix", ()))
@@ -252,6 +277,7 @@ class HostedRun:
                     self.journal.record_event(seq, event, result)
                 self.instance = result
                 self.events.append(event)
+                self._use(event)
                 effect = self.dataflow.push(
                     delta, result, seq=seq, event=event, span_id=span_id
                 )
@@ -272,6 +298,16 @@ class HostedRun:
             error.batch_results = results
             raise error
         return results
+
+    def _use(self, event: Event) -> None:
+        """Count a committed event's head-only values as used."""
+        if event.rule.sorted_head_only_variables:
+            used = self.used_values
+            used.update(event.head_only_values())
+            floor = self._fresh_floor
+            while FreshValue(floor) in used:
+                floor += 1
+            self._fresh_floor = floor
 
     def provenance_log(self) -> ProvenanceLog:
         """The run's provenance log, complete over its full history.
@@ -339,8 +375,15 @@ class HostedRun:
         return self._event_index
 
     def applicable(self, peer: Optional[str] = None) -> List[Event]:
-        """The events currently applicable (optionally for one peer)."""
-        return list(self.event_index().events(peer=peer))
+        """The events currently applicable (optionally for one peer).
+
+        Head-only values are minted outside :attr:`used_values`, read in
+        place from the lowest index it does not hold, so the answer is
+        ``applicable_events(..., used_values=self.used_values)`` (that
+        peer's share of it) without a scan of the instance.
+        """
+        fresh = FreshValueSource(self._fresh_floor, used=self.used_values)
+        return list(self.event_index().events(fresh, peer=peer))
 
     def explainer(self, peer: str) -> IncrementalExplainer:
         """The peer's incremental explainer, created (and caught up) lazily.

@@ -40,6 +40,7 @@ from .broker import EventBroker
 from .errors import ProtocolError, ServiceError, UnknownRunError, error_code
 from .protocol import (
     MAX_LINE_BYTES,
+    OPS,
     decode_line,
     encode_message,
     error_response,
@@ -62,6 +63,8 @@ _REQUESTS = METRICS.counter(
     "Protocol requests handled, by op and outcome",
     labelnames=("op", "outcome"),
 )
+#: Each op's ``outcome="ok"`` child, resolved once instead of per request.
+_ANSWERED = {op: _REQUESTS.labels(op=op, outcome="ok") for op in OPS}
 
 
 class WorkflowService:
@@ -140,7 +143,7 @@ class WorkflowService:
             op, request = parse_request(message)
             handler = getattr(self, f"_op_{op}")
             response = await handler(request, request_id)
-            _REQUESTS.labels(op=op, outcome="ok").inc()
+            _ANSWERED[op].inc()
             return response
         except WorkflowError as exc:
             code = error_code(exc)
@@ -239,13 +242,20 @@ class WorkflowService:
         if peer not in self.program.schema.peers:
             raise ServiceError(f"unknown peer {peer!r}")
         hosted = await self.registry.get(request["run"])
+        # The graph replaces a peer's view instance whenever it changes,
+        # so the run's last answer is reused while the instance is the
+        # same object.  The dict is shared by those answers: read only.
+        instance = hosted.view_instance(peer)
+        last = hosted.last_view
+        if last is None or last[0] is not instance:
+            last = hosted.last_view = (instance, instance_to_dict(instance))
         return ok_response(
             request_id,
             run=hosted.run_id,
             peer=peer,
             version=hosted.view_version(peer),
             applied=hosted.applied,
-            instance=instance_to_dict(hosted.view_instance(peer)),
+            instance=last[1],
             cached=True,
         )
 

@@ -11,7 +11,7 @@ by a :class:`FreshValueSource`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Set
+from typing import AbstractSet, Iterable, Iterator, Set
 
 
 class _Null:
@@ -68,14 +68,21 @@ class FreshValueSource:
 
     The run semantics requires a head-only variable to be instantiated
     with a *globally fresh* value: one not occurring in ``const(P)`` nor
-    in any earlier instance of the run.  The source tracks every value it
-    has handed out and can also be told about externally observed values
-    via :meth:`observe`.
+    in any earlier instance of the run.  The source mints candidates in
+    increasing index order, so it never hands out a value twice, and
+    skips every value it has been told about via :meth:`observe` and
+    every value in *used*.
+
+    *used* is read by reference, never copied or mutated: a hosted run
+    passes the set of values it has used, together with *start* at the
+    lowest index that set does not hold, so minting costs one lookup per
+    candidate instead of a scan of the run.
     """
 
-    def __init__(self, start: int = 0) -> None:
+    def __init__(self, start: int = 0, used: AbstractSet[object] = frozenset()) -> None:
         self._next = start
         self._seen: Set[object] = set()
+        self._used = used
 
     def observe(self, values: Iterable[object]) -> None:
         """Record *values* as used, so they are never minted as fresh."""
@@ -86,8 +93,7 @@ class FreshValueSource:
         while True:
             candidate = FreshValue(self._next)
             self._next += 1
-            if candidate not in self._seen:
-                self._seen.add(candidate)
+            if candidate not in self._seen and candidate not in self._used:
                 return candidate
 
     def stream(self) -> Iterator[FreshValue]:

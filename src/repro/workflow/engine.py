@@ -27,7 +27,7 @@ successor.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple as PyTuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple as PyTuple
 
 from ..dataflow.delta import Delta
 from ..obs.metrics import METRICS
@@ -41,11 +41,12 @@ from .rules import Deletion, Insertion
 from .tuples import Tuple
 from .views import CollaborativeSchema
 
-#: Engine metrics, bound once at import so the hot path pays one method
-#: call per tick (see docs/OBSERVABILITY.md for the full catalogue).
+#: Engine metrics, their unlabelled children bound once at import so the
+#: hot path pays one method call per tick, not a ``labels()`` lookup (see
+#: docs/OBSERVABILITY.md for the full catalogue).
 _EVENTS_APPLIED = METRICS.counter(
     "repro_engine_events_applied_total", "Events successfully applied"
-)
+).labels()
 _EVENT_REJECTIONS = METRICS.counter(
     "repro_engine_event_rejections_total",
     "Event applications rejected (body/freshness/update violations)",
@@ -55,7 +56,7 @@ _DELTA_KEYS = METRICS.histogram(
     "repro_engine_delta_keys",
     "Keys touched per transition delta",
     buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-)
+).labels()
 
 
 def _view_tuple(insertion: Insertion) -> Tuple:
@@ -134,14 +135,15 @@ def apply_event(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
-    forbidden_fresh: Optional[FrozenSet[object]] = None,
+    forbidden_fresh: Optional[AbstractSet[object]] = None,
     check_body: bool = True,
 ) -> Instance:
     """Fire *event* at *instance* and return the successor instance.
 
     Checks, in order: the body holds on the acting peer's view; head-only
     variables carry pairwise-distinct values outside *forbidden_fresh*
-    (pass None to skip the freshness check); every update is applicable.
+    (pass None to skip the freshness check; the set is only read); every
+    update is applicable.
     Raises a :class:`~repro.workflow.errors.EventError` subclass on any
     violation.
     """
@@ -165,12 +167,15 @@ def _transition(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
-    forbidden_fresh: Optional[FrozenSet[object]],
+    forbidden_fresh: Optional[AbstractSet[object]],
     check_body: bool,
+    written: AbstractSet[object] = frozenset(),
 ) -> Dict[str, Dict[object, Optional[Tuple]]]:
     """Check that *event* fires at *instance*; return what it writes.
 
-    Raises the :class:`EventError` :func:`apply_event` raises.  The
+    Raises the :class:`EventError` :func:`apply_event` raises; with
+    *forbidden_fresh* set, a head-only value in *written* (what earlier
+    events of the same batch wrote) is not fresh either.  The
     result maps each touched relation to ``key -> tuple`` (None for a
     deleted key): the successor instance differs from *instance* there
     and nowhere else.  Every check is a keyed read, so the cost is
@@ -193,7 +198,9 @@ def _transition(
                 f"event {event!r}: head-only variables share a value"
             )
         if forbidden_fresh is not None:
-            clashes = [v for v in values if v in forbidden_fresh]
+            clashes = [
+                v for v in values if v in forbidden_fresh or v in written
+            ]
             if clashes:
                 raise FreshnessViolation(
                     f"event {event!r}: values {clashes!r} are not globally fresh"
@@ -229,8 +236,9 @@ def _apply_event(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
-    forbidden_fresh: Optional[FrozenSet[object]],
+    forbidden_fresh: Optional[AbstractSet[object]],
     check_body: bool,
+    written: AbstractSet[object] = frozenset(),
 ) -> Instance:
     """The successor of *instance* under *event*, built once.
 
@@ -241,7 +249,7 @@ def _apply_event(
     """
     result = instance
     for relation, rows in _transition(
-        schema, instance, event, forbidden_fresh, check_body
+        schema, instance, event, forbidden_fresh, check_body, written
     ).items():
         result = result.replace_tuples(relation, rows)
     return result
@@ -275,7 +283,7 @@ def apply_event_with_delta(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
-    forbidden_fresh: Optional[FrozenSet[object]] = None,
+    forbidden_fresh: Optional[AbstractSet[object]] = None,
     check_body: bool = True,
 ) -> PyTuple[Instance, Delta]:
     """Like :func:`apply_event`, also returning the transition's delta.
@@ -297,7 +305,7 @@ def apply_events(
     schema: CollaborativeSchema,
     instance: Instance,
     events: Iterable[Event],
-    forbidden_fresh: Optional[FrozenSet[object]] = None,
+    forbidden_fresh: Optional[AbstractSet[object]] = None,
     check_body: bool = True,
 ) -> "list[PyTuple[Instance, Delta]]":
     """Fold :func:`apply_event_with_delta` over *events* under one span.
@@ -310,6 +318,11 @@ def apply_events(
     are immutable, so the fold is pure: the caller commits the pairs —
     or any prefix of them — wherever it keeps state.
 
+    With *forbidden_fresh* set, each event's head-only values must also
+    avoid those of the batch's earlier events, as in a sequential fold
+    that grows the set; the fold keeps them apart and never mutates
+    *forbidden_fresh*.
+
     On a failing event the same :class:`EventError` a sequential fold
     would raise propagates, with the clean prefix attached as
     ``exc.batch_prefix`` so callers can commit it before handling the
@@ -318,12 +331,13 @@ def apply_events(
     events = list(events)
     pairs: "list[PyTuple[Instance, Delta]]" = []
     current = instance
+    written: Set[object] = set()
     with span("apply_events", count=len(events)):
         for event in events:
             ambient_checkpoint()
             try:
                 result = _apply_event(
-                    schema, current, event, forbidden_fresh, check_body
+                    schema, current, event, forbidden_fresh, check_body, written
                 )
             except EventError as exc:
                 _EVENT_REJECTIONS.labels(error=type(exc).__name__).inc()
@@ -334,6 +348,8 @@ def apply_events(
             _DELTA_KEYS.observe(sum(len(keys) for keys in delta.changes.values()))
             pairs.append((result, delta))
             current = result
+            if forbidden_fresh is not None and event.rule.sorted_head_only_variables:
+                written.update(event.head_only_values())
     return pairs
 
 
@@ -341,7 +357,7 @@ def event_applicable(
     schema: CollaborativeSchema,
     instance: Instance,
     event: Event,
-    forbidden_fresh: Optional[FrozenSet[object]] = None,
+    forbidden_fresh: Optional[AbstractSet[object]] = None,
     check_body: bool = True,
 ) -> bool:
     """True iff :func:`apply_event` would succeed.

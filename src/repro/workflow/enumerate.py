@@ -127,6 +127,9 @@ class RunGenerator:
         """
         schema = self.program.schema
         instance = initial if initial is not None else Instance.empty(schema.schema)
+        # Each event adds only values this source minted (it never mints
+        # one twice) or constants of the program, so the source stays
+        # fresh without observing each successor instance.
         fresh = FreshValueSource()
         fresh.observe(self.program.constants())
         fresh.observe(instance.active_domain())
@@ -160,7 +163,6 @@ class RunGenerator:
                     instance = apply_event(
                         schema, instance, event, forbidden_fresh=None, check_body=False
                     )
-                fresh.observe(instance.active_domain())
                 events.append(event)
             trace.set("events", len(events))
         return execute(self.program, events, initial)

@@ -18,14 +18,19 @@ proportional to the *delta*:
   the delta changed the peer's view of a relation the body reads —
   rules untouched by the delta are served from cache.
 
+* each body valuation's **update-check outcome is cached** too, and a
+  rule's outcomes are dropped when a delta touches one of the relations
+  its head updates (or its valuations are re-evaluated).  An update
+  check reads only the tuples at the event's keys in those relations,
+  and a minted value matters only through being fresh, so any fresh
+  value gives the same outcome.
+
 Head-only variables are *not* cached: they are minted at
-:meth:`events` time exactly as the from-scratch enumeration does, and
-every candidate event is re-checked for update applicability against
-the current global instance (update applicability depends on head
-relations, which the cache deliberately ignores).  The index therefore
-yields the same events as ``applicable_events`` — the property suite in
-``tests/workflow/test_eventindex.py`` asserts equality modulo the
-identity of freshly minted values.
+:meth:`events` time exactly as the from-scratch enumeration does, for
+every valuation whether or not its cached check passes.  The index
+therefore yields the same events as ``applicable_events`` — the property
+suite in ``tests/workflow/test_eventindex.py`` asserts equality modulo
+the identity of freshly minted values.
 
 Two advancement styles cover the two search shapes:
 
@@ -33,8 +38,8 @@ Two advancement styles cover the two search shapes:
   run generator, the hosted service runs);
 * :meth:`advanced` returns a derived index and leaves this one intact —
   for branching searches (state-space exploration), sharing the cached
-  valuation lists and, through a forked private graph, the persistent
-  view instances with the parent.
+  valuation lists and check outcomes and, through a forked private
+  graph, the persistent view instances with the parent.
 """
 
 from __future__ import annotations
@@ -103,6 +108,11 @@ class ApplicableEventIndex:
         self.program = program
         self.schema = program.schema
         self.rules: PyTuple[Rule, ...] = tuple(program.rules)
+        self._peers: PyTuple[str, ...] = tuple(rule.peer for rule in self.rules)
+        # Per peer: one past its last rule, where a per-peer answer stops.
+        self._ends: Dict[str, int] = {
+            peer: i + 1 for i, peer in enumerate(self._peers)
+        }
         self._owns_graph = graph is None
         if graph is None:
             acting = dict.fromkeys(rule.peer for rule in self.rules)
@@ -127,10 +137,25 @@ class ApplicableEventIndex:
             )
             for rule in self.rules
         )
+        # Per rule: the relations its head updates, the only ones an
+        # update check of its events reads.
+        self._head_relations: PyTuple[FrozenSet[str], ...] = tuple(
+            frozenset(atom.view.relation.name for atom in rule.head)
+            for rule in self.rules
+        )
         # Cached body valuations per rule; None marks a stale entry that
         # the next events() call re-evaluates lazily.  The lists are
         # never mutated once built, so derived indexes share them.
         self._valuations: List[Optional[List[Dict]]] = [None] * len(self.rules)
+        # Per rule: the update-check outcome of each cached valuation, by
+        # position in the valuation list — False, True, or for a rule
+        # without head-only variables its applicable event itself — and
+        # None when dropped.  A derived index (advanced()) shares these
+        # dicts with its parent until a delta touches the rule's head
+        # relations or body views, so every index holding a dict is at
+        # the head-relation state the dict was built at, and an outcome
+        # any of them adds is valid for all.
+        self._checks: List[Optional[Dict[int, object]]] = [None] * len(self.rules)
         # Label the plans with rule names so --profile-queries reads well.
         from . import planner
 
@@ -176,6 +201,7 @@ class ApplicableEventIndex:
 
     def _advance(self, steps: Iterable[PyTuple[Delta, Instance]]) -> None:
         changed: Set[str] = set()
+        touched: Set[str] = set()
         for delta, successor in steps:
             EVAL_STATS.event_index_advances += 1
             effect: DeltaEffect = (
@@ -183,28 +209,37 @@ class ApplicableEventIndex:
             )
             for views in effect.changed.values():
                 changed |= views
+            touched.update(effect.changes)
         if changed:
             for i, body_views in enumerate(self._body_views):
                 if self._valuations[i] is not None and body_views & changed:
                     self._valuations[i] = None
+        if touched:
+            for i, head_relations in enumerate(self._head_relations):
+                if self._checks[i] is not None and not head_relations.isdisjoint(touched):
+                    self._checks[i] = None
 
     def advanced(self, delta: Delta, successor: Instance) -> "ApplicableEventIndex":
         """A derived index past one applied event; this one is untouched.
 
         The derived index owns a fork of this index's graph (sharing its
         persistent view instances) and shares the cached valuation lists
-        with the parent — the per-branch cost is the same O(|delta|)
-        push as :meth:`advance` plus two small dict copies.  *delta* is
-        the plain transition delta.
+        and check outcomes with the parent — the per-branch cost is the
+        same O(|delta|) push as :meth:`advance` plus a few small list and
+        dict copies.  *delta* is the plain transition delta.
         """
         clone = object.__new__(type(self))
         clone.program = self.program
         clone.schema = self.schema
         clone.rules = self.rules
+        clone._peers = self._peers
+        clone._ends = self._ends
         clone.graph = self.graph.fork()
         clone._owns_graph = True
         clone._body_views = self._body_views
+        clone._head_relations = self._head_relations
         clone._valuations = list(self._valuations)
+        clone._checks = list(self._checks)
         clone.advance(delta, successor)
         return clone
 
@@ -220,6 +255,7 @@ class ApplicableEventIndex:
             rule = self.rules[index]
             valuations = list(rule.body.valuations(self.graph.snapshot(rule.peer)))
             self._valuations[index] = valuations
+            self._checks[index] = None  # outcomes of the old list's positions
         else:
             EVAL_STATS.event_index_rules_skipped += 1
         return valuations
@@ -238,7 +274,11 @@ class ApplicableEventIndex:
         declaration order, head-only variables minted from
         *fresh_source* (or ranging over *head_only_values*), and every
         event checked for update applicability against the current
-        global instance.
+        global instance — a check made once per body valuation and
+        cached until a delta touches the rule's head relations.  The
+        cache assumes minted values are fresh for the current instance,
+        as the default source's are; with *head_only_values* it is
+        bypassed.
 
         With *peer*, exactly *peer*'s subsequence of that enumeration,
         fresh values included: another peer's rule builds and checks no
@@ -256,27 +296,41 @@ class ApplicableEventIndex:
             fresh_source.observe(instance.active_domain())
             if used_values:
                 fresh_source.observe(used_values)
-        end = len(self.rules)
-        if peer is not None:
-            end = max(
-                (i + 1 for i, rule in enumerate(self.rules) if rule.peer == peer),
-                default=0,
-            )
+        end = len(self.rules) if peer is None else self._ends.get(peer, 0)
         for i, rule in enumerate(self.rules[:end]):
             head_only = rule.sorted_head_only_variables
-            if peer is not None and rule.peer != peer:
+            if peer is not None and self._peers[i] != peer:
                 if head_only:
-                    for _ in self.body_valuations(i):
-                        next(head_only_assignments(
-                            head_only, fresh_source, head_only_values
-                        ))
+                    # Each valuation's first assignment mints one value
+                    # per head-only variable, with or without a pool.
+                    for _ in range(len(self.body_valuations(i)) * len(head_only)):
+                        fresh_source.fresh()
                 continue
-            for valuation in self.body_valuations(i):
+            valuations = self.body_valuations(i)
+            checks = None
+            if not (head_only and head_only_values is not None):
+                checks = self._checks[i]
+                if checks is None:
+                    checks = self._checks[i] = {}
+            for j, valuation in enumerate(valuations):
                 for head_values in head_only_assignments(
                     head_only, fresh_source, head_only_values
                 ):
+                    outcome = None if checks is None else checks.get(j)
+                    if outcome is False:
+                        continue
+                    if isinstance(outcome, Event):  # a rule that mints nothing
+                        yield outcome
+                        continue
                     full = dict(valuation)
                     full.update(zip(head_only, head_values))
                     event = Event(rule, full)
-                    if event_applicable(schema, instance, event, check_body=False):
-                        yield event
+                    if outcome is None:
+                        applicable = event_applicable(
+                            schema, instance, event, check_body=False
+                        )
+                        if checks is not None:
+                            checks[j] = applicable and (True if head_only else event)
+                        if not applicable:
+                            continue
+                    yield event

@@ -222,17 +222,24 @@ def execute(
     """
     schema = program.schema
     instance = initial if initial is not None else Instance.empty(schema.schema)
-    used: Set[object] = set(program.constants())
-    used.update(instance.active_domain())
+    # The values a head-only variable must avoid: const(P), the initial
+    # instance and every earlier event's head-only values.  Those are the
+    # only values an event brings into an instance (its body variables are
+    # bound from the acting peer's view, its head constants are in
+    # const(P)), so this set is every value of every earlier instance.
+    used: Optional[Set[object]] = None
+    if check_freshness:
+        used = set(program.constants())
+        used.update(instance.active_domain())
     instances: List[Instance] = []
     for i, event in enumerate(events):
-        forbidden = frozenset(used) if check_freshness else None
         try:
-            instance = apply_event(schema, instance, event, forbidden)
+            instance = apply_event(schema, instance, event, used)
         except EventError as exc:
             raise RunError(f"event {i} ({event!r}) is not applicable: {exc}") from exc
         instances.append(instance)
-        used.update(instance.active_domain())
+        if used is not None:
+            used.update(event.head_only_values())
         if observer is not None:
             observer(i, event, instance)
     return Run(program, initial if initial is not None else Instance.empty(schema.schema), events, instances)

@@ -220,7 +220,7 @@ def instance_to_dict(instance: Instance) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for relation in instance.schema:
         tuples = [
-            {attr: value_to_json(tup[attr]) for attr in tup.attributes}
+            {attr: value_to_json(value) for attr, value in zip(tup.attributes, tup.values)}
             for tup in instance.relation(relation.name)
         ]
         if tuples:

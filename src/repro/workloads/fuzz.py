@@ -20,13 +20,16 @@ the stack promises equivalent:
   and advancing an
   :class:`~repro.workflow.eventindex.ApplicableEventIndex` over that
   graph with the resulting effect (every rule body's cached
-  valuations) must equal from-scratch recomputation;
+  valuations and update-check outcomes) must equal from-scratch
+  recomputation;
 * ``recovery`` — journaling the run and recovering it (full
   ``recover_run`` re-execution and the ``fast_recover`` checkpoint
   path) must reproduce the run, its views and its provenance;
 * ``service`` — an in-process :class:`WorkflowService` (the router's
-  worker) must acknowledge every submitted event in order and answer
-  each peer's ``view`` and ``explain`` as the offline run does.
+  worker) must acknowledge every submitted event in order, offer in
+  ``applicable`` only events that extend the acknowledged prefix to a
+  run (head-only values globally fresh), and answer each peer's
+  ``view`` and ``explain`` as the offline run does.
 
 On divergence the report carries a copy-pasteable reproduce one-liner,
 and :func:`shrink_program` greedily minimizes a failing program by
@@ -451,9 +454,10 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
     The applicable-event index reads the graph's views and advances with
     each push's :class:`~repro.dataflow.graph.DeltaEffect`, as on the
     service, and
-    every rule body is brought up to date after every event: a cached
-    valuation list the delta should have invalidated survives to the
-    final comparison.  At the final instance each peer's answer from the
+    every rule body is brought up to date and every candidate
+    update-checked after every event: a cached valuation list or check
+    outcome the delta should have dropped survives to the final
+    comparison.  At the final instance each peer's answer from the
     index (the service's ``applicable`` op) must then equal that peer's
     share of the from-scratch enumeration, fresh values included.
     """
@@ -463,16 +467,13 @@ def _check_dataflow(program: WorkflowProgram, run: Run) -> PairOutcome:
     for peer in schema.peers:
         graph.snapshot(peer)
     index = ApplicableEventIndex(program, instance, graph=graph)
-    rules = range(len(index.rules))
-    for i in rules:
-        index.body_valuations(i)
+    list(index.events())
     for event in run.events:
         instance, delta = apply_event_with_delta(
             schema, instance, event, forbidden_fresh=None, check_body=False
         )
         index.advance(graph.push(delta, instance), instance)
-        for i in rules:
-            index.body_valuations(i)
+        list(index.events())
     if _canonical_views(program, graph.instance) != _canonical_views(
         program, run.final_instance
     ):
@@ -539,15 +540,21 @@ def _check_recovery(program: WorkflowProgram, run: Run) -> PairOutcome:
 def _check_service(program: WorkflowProgram, run: Run) -> PairOutcome:
     """One in-process :class:`WorkflowService` transcript vs the offline run.
 
-    Every submit must be acknowledged ``applied`` with seq 0…n−1, each
-    peer's ``view`` must equal its view of the run's final instance, and
-    each ``explain`` must equal :func:`minimal_faithful_scenario`.  The
-    full subprocess router differential lives in ``tests/cluster``.
+    Every submit must be acknowledged ``applied`` with seq 0…n−1; after
+    each one, every event any peer's ``applicable`` offers must extend
+    the acknowledged prefix to a run under :func:`execute` with
+    freshness checked; each peer's ``view`` must equal its view of the
+    run's final instance, and each ``explain`` must equal
+    :func:`minimal_faithful_scenario`.  The full subprocess router
+    differential lives in ``tests/cluster``.
     """
     from ..core.faithful import minimal_faithful_scenario
     from ..service.loadgen import _canonical_view
     from ..service.server import WorkflowService
-    from ..workflow.serialization import instance_to_dict
+    from ..workflow.errors import RunError
+    from ..workflow.serialization import event_from_dict, instance_to_dict
+
+    initial = _initial_instance(program, run)
 
     async def drive() -> Optional[str]:
         service = WorkflowService(program, snapshot_every=None)
@@ -556,7 +563,7 @@ def _check_service(program: WorkflowProgram, run: Run) -> PairOutcome:
                 {
                     "op": "open",
                     "run": "diff",
-                    "initial": instance_to_dict(_initial_instance(program, run)),
+                    "initial": instance_to_dict(initial),
                 }
             )
             for index, event in enumerate(run.events):
@@ -565,6 +572,24 @@ def _check_service(program: WorkflowProgram, run: Run) -> PairOutcome:
                 )
                 if ack.get("status") != "applied" or ack.get("seq") != index:
                     return f"event {index} acknowledged as {ack}"
+                acked = list(run.events[: index + 1])
+                for peer in program.schema.peers:
+                    offered = await service.handle(
+                        {"op": "applicable", "run": "diff", "peer": peer}
+                    )
+                    for entry in offered["events"]:
+                        try:
+                            execute(
+                                program,
+                                acked + [event_from_dict(program, entry)],
+                                initial,
+                                check_freshness=True,
+                            )
+                        except RunError as exc:
+                            return (
+                                f"after event {index}, {peer!r} was offered "
+                                f"an event that is no run step: {exc}"
+                            )
             for peer in program.schema.peers:
                 view = await service.handle({"op": "view", "run": "diff", "peer": peer})
                 expected = instance_to_dict(

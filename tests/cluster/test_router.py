@@ -215,6 +215,32 @@ class TestRouterConstruction:
             assert router.owner(f"k-{index}") == ring.owner(f"k-{index}")
 
 
+async def _closing_listener():
+    """A listener that closes each connection it accepts once the peer
+    hangs up; returns it and the list of connections it has closed."""
+    closed = []
+
+    async def on_connect(reader, writer):
+        await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        closed.append(writer)
+
+    listener = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+    return listener, closed
+
+
+async def _close_listener(listener, closed, connections):
+    """Wait until the listener has closed *connections* accepted ones."""
+    async def all_closed():
+        while len(closed) < connections:
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(all_closed(), timeout=2)
+    listener.close()
+    await listener.wait_closed()
+
+
 class TestNodePool:
     def test_discard_wakes_a_starved_waiter(self):
         """Every pooled connection to a dead shard gets discarded while
@@ -223,12 +249,7 @@ class TestNodePool:
         from repro.cluster.router import _NodePool
 
         async def main():
-            accepted = []
-
-            async def on_connect(reader, writer):
-                accepted.append(writer)
-
-            listener = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+            listener, closed = await _closing_listener()
             port = listener.sockets[0].getsockname()[1]
             pool = _NodePool("127.0.0.1", port, size=2)
             first = await pool.acquire()
@@ -242,8 +263,7 @@ class TestNodePool:
             assert not fresh.is_closing()
             pool.discard(fresh)
             await pool.close()
-            listener.close()
-            await listener.wait_closed()
+            await _close_listener(listener, closed, connections=3)
 
         asyncio.run(main())
 
@@ -256,10 +276,7 @@ class TestNodePool:
         from repro.cluster.router import _NodePool
 
         async def main():
-            async def on_connect(reader, writer):
-                pass
-
-            listener = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+            listener, closed = await _closing_listener()
             port = listener.sockets[0].getsockname()[1]
             pool = _NodePool("127.0.0.1", port, size=2)
             first = await pool.acquire()
@@ -274,7 +291,6 @@ class TestNodePool:
                 assert not connection.is_closing()
                 pool.discard(connection)
             await pool.close()
-            listener.close()
-            await listener.wait_closed()
+            await _close_listener(listener, closed, connections=4)
 
         asyncio.run(main())

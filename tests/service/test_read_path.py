@@ -2,11 +2,12 @@
 
 ``applicable`` for one peer builds and update-checks only that peer's
 candidate events, yet answers exactly that peer's share of the full
-from-scratch enumeration — fresh values included, because other peers'
-rules still mint the values the full enumeration would mint for them.
-The provenance ops take keys in the protocol's value encoding, and a
-relation the peer cannot see is refused instead of dropping the
-connection.
+from-scratch enumeration over the run's used values — fresh values
+included, because other peers' rules still mint the values the full
+enumeration would mint for them.  Update-check outcomes are cached, so
+a warm index checks only part of that share.  The provenance ops take
+keys in the protocol's value encoding, and a relation the peer cannot
+see is refused instead of dropping the connection.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ def _hosted(program):
 
 
 def _assert_applicable_matches_scratch(program, hosted):
-    scratch = list(applicable_events(program, hosted.instance))
+    scratch = list(
+        applicable_events(program, hosted.instance, used_values=hosted.used_values)
+    )
     for peer in program.schema.peers:
         assert [event_to_dict(e) for e in hosted.applicable(peer)] == [
             event_to_dict(e) for e in scratch if e.peer == peer
@@ -69,8 +72,10 @@ def test_applicable_matches_filtered_enumeration_on_fuzzed_programs(seed):
 
 @pytest.mark.parametrize("name", family_names())
 def test_applicable_checks_only_the_asking_peers_candidates(name, monkeypatch):
-    """``HostedRun.applicable(p)`` update-checks exactly the candidates
-    of ``p`` the full enumeration checks, and no other peer's."""
+    """``HostedRun.applicable(p)`` update-checks only candidates of ``p``
+    that the full enumeration checks: on a cold index exactly those, on a
+    warm one (outcomes cached by earlier answers) a subset of them, and
+    never another peer's."""
     family = get_family(name)
     program = family.program()
     run = family.run(seed=1, steps=40, program=program)
@@ -82,24 +87,39 @@ def test_applicable_checks_only_the_asking_peers_candidates(name, monkeypatch):
         checked.append(event_to_dict(event))
         return original(schema, instance, event, *args, **kwargs)
 
+    def cold():
+        """A hosted run over the same history, its index never asked."""
+        return HostedRun(
+            "cold", program, hosted.initial, instance=hosted.instance,
+            events=hosted.events,
+        )
+
     monkeypatch.setattr(eventindex, "event_applicable", counting)
-    others_skipped = 0
+    others_skipped = cold_checks = warm_checks = 0
     for position, event in enumerate(run.events):
         hosted.apply(event)
         if position % 5:
             continue
         checked.clear()
-        list(hosted.event_index().events())
+        cold().applicable()
         full = list(checked)
         peers = {program.rule(entry["rule"]).peer for entry in full}
         for peer in program.schema.peers:
-            checked.clear()
-            hosted.applicable(peer)
-            assert checked == [
+            share = [
                 entry for entry in full if program.rule(entry["rule"]).peer == peer
             ]
+            checked.clear()
+            cold().applicable(peer)
+            assert checked == share
+            cold_checks += len(checked)
+            checked.clear()
+            hosted.applicable(peer)
+            assert all(entry in share for entry in checked)
+            assert len(checked) == len({repr(entry) for entry in checked})
+            warm_checks += len(checked)
             others_skipped += len(peers - {peer})
     assert others_skipped > 0
+    assert warm_checks < cold_checks
 
 
 # ----------------------------------------------------------------------

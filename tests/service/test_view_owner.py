@@ -130,8 +130,10 @@ def test_a_returned_run_replays_once_for_its_explainers(
         answers = []
         for peer in peers:
             answer = await ok(service, op="explain", run="r", peer=peer)
-            for citation in answer["provenance"]:
-                citation.pop("span_id", None)
+            answer["provenance"] = [
+                {key: value for key, value in citation.items() if key != "span_id"}
+                for citation in answer["provenance"]
+            ]
             answers.append({key: answer[key] for key in ("scenario", "rules", "provenance")})
         return answers
 

@@ -82,6 +82,7 @@ class TestFraming:
             assert line[8] == " "
             assert int(crc_text, 16) == zlib.crc32(payload.encode("utf-8"))
             assert isinstance(json.loads(payload), dict)
+        store.close()
 
 
 class TestTailRecovery:
@@ -97,6 +98,7 @@ class TestTailRecovery:
         log.write_text(data + 'deadbeef {"type": "end", "status')
         reopened = backend.store("r1")
         got, warnings = reopened.read()
+        reopened.close()
         assert got == records
         assert any("truncated" in w for w in warnings)
         assert log.read_text() == data
@@ -115,6 +117,7 @@ class TestTailRecovery:
         log.write_text("".join(lines))
         reopened = backend.store("r1")
         got, warnings = reopened.read()
+        reopened.close()
         assert got == records[:-1]
         assert warnings
 
@@ -158,6 +161,7 @@ class TestCompaction:
         # The store still accepts appends after the swap.
         store.append(end_record("completed"))
         got, _ = store.read()
+        store.close()
         assert got[-1]["type"] == "end"
 
     def test_orphan_segments_swept_on_open(self, tmp_path):
@@ -172,6 +176,7 @@ class TestCompaction:
         assert backend.run_ids() == ["r1"]  # an orphan is never listed
         reopened = backend.store("r1")
         got, warnings = reopened.read()
+        reopened.close()
         assert (got, warnings) == (run_records(), [])
         assert not orphan.exists()
 

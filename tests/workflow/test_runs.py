@@ -47,6 +47,41 @@ class TestExecution:
             execute(hiring, [ev(hiring, "clear", x="sue"),
                              ev(hiring, "clear", x="sue")])
 
+    def test_a_deleted_value_stays_used(self):
+        from repro.workloads import get_family
+
+        program = get_family("procurement").program()
+        request = ev(program, "request", r="req-1")
+        withdraw = ev(program, "withdraw", x="req-1")
+        assert len(execute(program, [request, withdraw])) == 2
+        with pytest.raises(RunError, match="not globally fresh"):
+            execute(program, [request, withdraw, request])
+        assert len(execute(program, [request, withdraw, request], check_freshness=False)) == 3
+
+    def test_execute_scans_only_the_initial_instance(self, monkeypatch):
+        """Freshness is kept from each event's head-only values: one
+        ``active_domain`` call per run, however long, and none when
+        freshness is not checked."""
+        from repro.workloads import get_family
+
+        family = get_family("cicd")
+        program = family.program()
+        run = family.run(seed=1, steps=600, program=program)
+        assert len(run) == 600
+        calls = []
+        original = Instance.active_domain
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Instance, "active_domain", counting)
+        assert execute(program, run.events).final_instance == run.final_instance
+        assert len(calls) == 1
+        calls.clear()
+        execute(program, run.events, check_freshness=False)
+        assert calls == []
+
     def test_replay_returns_none_on_failure(self, approval):
         assert replay(approval, [ev(approval, "h")]) is None
         assert replay(approval, [ev(approval, "e")]) is not None

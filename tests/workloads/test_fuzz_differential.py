@@ -109,6 +109,31 @@ def test_dataflow_pair_catches_skipped_rule_invalidation(monkeypatch):
     assert all("index-maintained body" in detail for detail in failures)
 
 
+def test_dataflow_pair_catches_skipped_check_invalidation(monkeypatch):
+    """The per-event enumeration is not vacuous: an index that drops
+    stale rule bodies but keeps every cached update-check outcome after
+    a delta touches the rule's head relations fails it on the corpus."""
+
+    advance = ApplicableEventIndex._advance
+
+    def advance_keeping_checks(self, steps):
+        kept = list(self._checks)
+        advance(self, steps)
+        if not self._owns_graph:  # the pair's index, not the run generator's
+            self._checks = kept
+
+    monkeypatch.setattr(ApplicableEventIndex, "_advance", advance_keeping_checks)
+    failures = [
+        outcome.detail
+        for seed in range(_SCALES["smoke"])
+        for outcome in differential_check(
+            fuzz_program(seed), seed=seed, steps=12, pairs=("dataflow",)
+        ).failures
+    ]
+    assert failures
+    assert all("index-enumerated events" in detail for detail in failures)
+
+
 def test_dataflow_pair_catches_unminted_skipped_rules(monkeypatch):
     """The per-peer comparison is not vacuous: an index that skips other
     peers' rules without minting their fresh values (as
